@@ -129,7 +129,7 @@ func TestClassifyCancellation(t *testing.T) {
 
 // TestEngineConcurrentClusterClassify hammers one engine with clustering and
 // read-only classification from many goroutines at once. The shared
-// PathCache, ItemSimCache and params-keyed sim contexts must tolerate this;
+// PathCache and params-keyed sim contexts must tolerate this;
 // run under -race this is the regression test for the serving layer's
 // concurrency contract.
 func TestEngineConcurrentClusterClassify(t *testing.T) {

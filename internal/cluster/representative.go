@@ -24,6 +24,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 
 	"xmlclust/internal/parallel"
@@ -268,7 +269,7 @@ func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction)
 	}
 
 	var (
-		chosen  []txn.ItemID // raw constituent ids accumulated so far
+		chosen  = newConflater(cx.Items) // the raw constituent ids chosen so far
 		rep     = txn.NewTransaction(nil, -1, -1, -1)
 		repPrev *txn.Transaction
 		s, sNew float64
@@ -287,10 +288,10 @@ func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction)
 		repPrev = rep
 		s = sNew
 		for _, ri := range ranked[i:j] {
-			chosen = append(chosen, cx.Items.Get(ri.id).Flatten()...)
+			chosen.add(cx.Items.Get(ri.id).Flatten())
 		}
 		i = j
-		repNew := ConflateItems(cx.Items, chosen)
+		repNew := chosen.transaction()
 		lastNew = repNew
 		if cfg.Rule == ReturnBestObjective {
 			if repNew.Len() > trmax && bestRep != nil {
@@ -340,37 +341,85 @@ func nonEmpty(preferred, fallback *txn.Transaction) *txn.Transaction {
 // raw item itself. The result is a synthetic transaction in tree-tuple form
 // (every path distinct).
 func ConflateItems(tab *txn.ItemTable, rawIDs []txn.ItemID) *txn.Transaction {
-	byPath := map[xmltree.PathID][]txn.ItemID{}
-	seen := map[txn.ItemID]struct{}{}
-	var paths []xmltree.PathID
-	for _, id := range rawIDs {
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		p := tab.Get(id).Path
-		if _, ok := byPath[p]; !ok {
-			paths = append(paths, p)
-		}
-		byPath[p] = append(byPath[p], id)
+	cf := newConflater(tab)
+	cf.add(rawIDs)
+	return cf.transaction()
+}
+
+// conflateGroup conflates the distinct raw ids of one complete path into
+// a single item (sorting group in place): the raw item itself for a group
+// of one, otherwise the interned synthetic item with the merged answers
+// and the TCU vectors summed in ascending id order.
+func conflateGroup(tab *txn.ItemTable, p xmltree.PathID, group []txn.ItemID) txn.ItemID {
+	if len(group) == 1 {
+		return group[0]
 	}
-	out := make([]txn.ItemID, 0, len(paths))
-	for _, p := range paths {
-		group := byPath[p]
-		if len(group) == 1 {
-			out = append(out, group[0])
+	slices.Sort(group)
+	answers := make([]string, len(group))
+	vecs := make([]vector.Sparse, len(group))
+	for i, id := range group {
+		it := tab.Get(id)
+		answers[i], vecs[i] = it.Answer, it.Vector
+	}
+	return tab.InternSynthetic(p, txn.MergedAnswerKey(answers), vector.Sum(vecs...), group)
+}
+
+// conflater runs ConflateItems over a growing id stream, the shape of
+// GenerateTreeTuple's refinement: each step adds a batch of raw ids and
+// conflates everything added so far. The per-path groups persist across
+// steps and only the groups that grew are re-merged; a clean group keeps
+// its item, which re-conflating would only look up again. Dirty groups
+// are interned in first-appearance path order, so the table sees the same
+// sequence of new synthetic items as a from-scratch ConflateItems on the
+// whole prefix, and transaction() equals it.
+type conflater struct {
+	tab    *txn.ItemTable
+	seen   map[txn.ItemID]struct{}
+	byPath map[xmltree.PathID]int // complete path → index into groups
+	groups []conflatedGroup       // first-appearance path order
+}
+
+type conflatedGroup struct {
+	path  xmltree.PathID
+	ids   []txn.ItemID // distinct raw ids
+	item  txn.ItemID   // the conflated item; stale while dirty
+	dirty bool
+}
+
+func newConflater(tab *txn.ItemTable) *conflater {
+	return &conflater{tab: tab, seen: map[txn.ItemID]struct{}{}, byPath: map[xmltree.PathID]int{}}
+}
+
+// add appends raw ids to the stream; repeats of an id already added are
+// ignored.
+func (cf *conflater) add(ids []txn.ItemID) {
+	for _, id := range ids {
+		if _, dup := cf.seen[id]; dup {
 			continue
 		}
-		sort.Slice(group, func(i, j int) bool { return group[i] < group[j] })
-		answers := make([]string, len(group))
-		merged := vector.Sparse{}
-		for i, id := range group {
-			it := tab.Get(id)
-			answers[i] = it.Answer
-			merged = vector.Add(merged, it.Vector)
+		cf.seen[id] = struct{}{}
+		p := cf.tab.Get(id).Path
+		g, ok := cf.byPath[p]
+		if !ok {
+			g = len(cf.groups)
+			cf.byPath[p] = g
+			cf.groups = append(cf.groups, conflatedGroup{path: p})
 		}
-		key := txn.MergedAnswerKey(answers)
-		out = append(out, tab.InternSynthetic(p, key, merged, group))
+		cf.groups[g].ids = append(cf.groups[g].ids, id)
+		cf.groups[g].dirty = true
+	}
+}
+
+// transaction conflates the stream so far, re-merging only dirty groups.
+func (cf *conflater) transaction() *txn.Transaction {
+	out := make([]txn.ItemID, len(cf.groups))
+	for i := range cf.groups {
+		g := &cf.groups[i]
+		if g.dirty {
+			g.item = conflateGroup(cf.tab, g.path, g.ids)
+			g.dirty = false
+		}
+		out[i] = g.item
 	}
 	return txn.NewTransaction(out, -1, -1, -1)
 }

@@ -25,6 +25,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"xmlclust/internal/cluster"
@@ -187,6 +188,19 @@ func toWire(items *txn.ItemTable, tr *txn.Transaction) WireTxn {
 		out = append(out, items.Get(id).Flatten()...)
 	}
 	return WireTxn{Items: out}
+}
+
+// checkWire rejects a wire transaction holding an item id outside the local
+// interning table — a malformed or foreign payload that fromWire would
+// otherwise index out of range.
+func checkWire(items *txn.ItemTable, w WireTxn) error {
+	n := txn.ItemID(items.Len())
+	for _, id := range w.Items {
+		if id < 0 || id >= n {
+			return fmt.Errorf("%w: item id %d outside the item table [0,%d)", ErrUnexpectedMessage, id, n)
+		}
+	}
+	return nil
 }
 
 // fromWire rebuilds a transaction by re-conflating the raw ids in the local

@@ -641,6 +641,49 @@ func (s *session) exchangeLocals(ctx context.Context) error {
 	return nil
 }
 
+// checkRep rejects a peer-supplied representative whose cluster id lies
+// outside [0,k) or whose wire form holds an item id outside the local
+// interning table, before either can index a slice.
+func (s *session) checkRep(from, j int, w WireTxn) error {
+	if j < 0 || j >= s.k {
+		return fmt.Errorf("%w: representative for cluster %d from peer %d outside [0,%d)",
+			ErrUnexpectedMessage, j, from, s.k)
+	}
+	if err := checkWire(s.items(), w); err != nil {
+		return fmt.Errorf("cluster %d representative from peer %d: %w", j, from, err)
+	}
+	return nil
+}
+
+// checkPayload validates a received representative message before it is
+// accounted, buffered or used: a LocalRepsMsg must name another peer as
+// sender, and every representative must pass checkRep.
+func (s *session) checkPayload(payload any) error {
+	switch msg := payload.(type) {
+	case GlobalRepsMsg:
+		for j, w := range msg.Reps {
+			if err := s.checkRep(msg.From, j, w); err != nil {
+				return err
+			}
+		}
+	case LocalRepsMsg:
+		if msg.From < 0 || msg.From >= s.m || msg.From == s.p.cfg.ID {
+			return fmt.Errorf("%w: local representatives from invalid peer %d", ErrUnexpectedMessage, msg.From)
+		}
+		for j, wr := range msg.Reps {
+			if err := s.checkRep(msg.From, j, wr.Rep); err != nil {
+				return err
+			}
+		}
+		for j := range msg.Unchanged {
+			if err := s.checkRep(msg.From, j, WireTxn{}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // expandLocalReps resolves a received LocalRepsMsg into the full per-cluster
 // representative map, expanding delta-exchange markers from the per-sender
 // cache and refreshing that cache with every full representative received.
@@ -1001,11 +1044,14 @@ func (s *session) nextGlobal(ctx context.Context, round int) (GlobalRepsMsg, err
 	if q := s.pendGlobal[round]; len(q) > 0 {
 		msg := q[0]
 		s.pendGlobal[round] = q[1:]
-		return msg, nil
+		return msg, s.checkPayload(msg) // startup may have buffered it unchecked
 	}
 	for {
 		env, err := s.recvEnvelope(ctx)
 		if err != nil {
+			return GlobalRepsMsg{}, err
+		}
+		if err := s.checkPayload(env.Payload); err != nil {
 			return GlobalRepsMsg{}, err
 		}
 		switch msg := env.Payload.(type) {
@@ -1031,11 +1077,14 @@ func (s *session) nextLocal(ctx context.Context, round int) (LocalRepsMsg, error
 	if q := s.pendLocal[round]; len(q) > 0 {
 		msg := q[0]
 		s.pendLocal[round] = q[1:]
-		return msg, nil
+		return msg, s.checkPayload(msg) // startup may have buffered it unchecked
 	}
 	for {
 		env, err := s.recvEnvelope(ctx)
 		if err != nil {
+			return LocalRepsMsg{}, err
+		}
+		if err := s.checkPayload(env.Payload); err != nil {
 			return LocalRepsMsg{}, err
 		}
 		switch msg := env.Payload.(type) {

@@ -133,6 +133,13 @@ func (s *session) install(st *SessionState) error {
 		return fmt.Errorf("%w: state carries %d/%d representatives for k = %d",
 			ErrUnexpectedMessage, len(st.Global), len(st.LocalRp), st.K)
 	}
+	for _, reps := range [][]WireTxn{st.Global, st.LocalRp} {
+		for _, w := range reps {
+			if err := checkWire(s.items(), w); err != nil {
+				return fmt.Errorf("state representative: %w", err)
+			}
+		}
+	}
 	s.epoch = st.Epoch
 	if es, ok := s.p.cfg.Transport.(p2p.EpochSetter); ok {
 		es.SetEpoch(id, s.epoch)

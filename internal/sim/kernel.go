@@ -416,54 +416,24 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 		row := sc.simM[i*n2 : (i+1)*n2]
 		rowBest := -1.0
 		va := sc.vecs1[i]
-		if cx.ItemCache == nil {
-			// The tight loop: contiguous reads only — the tag-path slot
-			// column, the resolved vector headers and the similarity row.
-			// The arithmetic replicates Item (Eq. 1) operation for
-			// operation, so values are bit-identical to direct Item calls.
-			for j := range row {
-				s := 0.0
-				if f > 0 {
-					s += f * structRow[sc.tpIdx2[j]]
-				}
-				if f < 1 {
-					s += (1 - f) * vector.Cosine(va, vecs2[j])
-				}
-				row[j] = s
-				if s > rowBest {
-					rowBest = s
-				}
-				if s > colBest[j] {
-					colBest[j] = s
-				}
+		// The tight loop: contiguous reads only — the tag-path slot column,
+		// the resolved vector headers and the similarity row. The
+		// arithmetic replicates Item (Eq. 1) operation for operation, so
+		// values are bit-identical to direct Item calls.
+		for j := range row {
+			s := 0.0
+			if f > 0 {
+				s += f * structRow[sc.tpIdx2[j]]
 			}
-		} else {
-			// Memoized variant: same arithmetic behind the item-pair cache,
-			// keys packed from the flat id slices.
-			ida := ids1[i]
-			for j := range row {
-				var s float64
-				key := packItemPair(ida, ids2[j])
-				if v, ok := cx.ItemCache.lookup(key); ok {
-					cx.Counters.ItemCacheHits.Add(1)
-					s = v
-				} else {
-					s = 0.0
-					if f > 0 {
-						s += f * structRow[sc.tpIdx2[j]]
-					}
-					if f < 1 {
-						s += (1 - f) * vector.Cosine(va, vecs2[j])
-					}
-					cx.ItemCache.store(key, s)
-				}
-				row[j] = s
-				if s > rowBest {
-					rowBest = s
-				}
-				if s > colBest[j] {
-					colBest[j] = s
-				}
+			if f < 1 {
+				s += (1 - f) * vector.Cosine(va, vecs2[j])
+			}
+			row[j] = s
+			if s > rowBest {
+				rowBest = s
+			}
+			if s > colBest[j] {
+				colBest[j] = s
 			}
 		}
 		// One batched counter add per processed row instead of one atomic

@@ -85,20 +85,80 @@ func (v Sparse) computeNorm() float64 {
 // Norm returns the Euclidean norm.
 func (v Sparse) Norm() float64 { return v.norm }
 
-// Dot returns the inner product of two sparse vectors in O(len(a)+len(b)).
+// skewRatio is the length ratio from which Dot stops merging and instead
+// walks the shorter side, galloping through the longer one.
+const skewRatio = 8
+
+// Dot returns the inner product of two sparse vectors. Balanced operands
+// take a linear merge walk; when one side is at least skewRatio times
+// shorter (a short document item against a long conflated representative
+// item, the common case inside Eq. 1), Dot walks the short side and
+// gallops through the long one in O(short·log(long)). Either way the
+// matching products a.Weight*b.Weight are summed in ascending term order,
+// so the result is bit-identical whichever walk runs.
 func Dot(a, b Sparse) float64 {
+	ae, be := a.entries, b.entries
+	switch {
+	case len(ae)*skewRatio <= len(be):
+		return dotGallop(ae, be, true)
+	case len(be)*skewRatio <= len(ae):
+		return dotGallop(be, ae, false)
+	}
 	var s float64
 	i, j := 0, 0
-	for i < len(a.entries) && j < len(b.entries) {
-		ta, tb := a.entries[i].Term, b.entries[j].Term
+	for i < len(ae) && j < len(be) {
+		ta, tb := ae[i].Term, be[j].Term
 		switch {
 		case ta == tb:
-			s += a.entries[i].Weight * b.entries[j].Weight
+			s += ae[i].Weight * be[j].Weight
 			i++
 			j++
 		case ta < tb:
 			i++
 		default:
+			j++
+		}
+	}
+	return s
+}
+
+// dotGallop is Dot's skewed walk: for each short entry it finds the first
+// long entry with a term ≥ it by exponential probing from the previous
+// match position and a binary search inside the last probe step.
+// shortIsA keeps the a.Weight*b.Weight operand order of the merge walk.
+func dotGallop(short, long []Entry, shortIsA bool) float64 {
+	var s float64
+	j := 0
+	for _, e := range short {
+		// Invariant: long[:lo] has terms < e.Term; hi == len(long) or
+		// long[hi].Term ≥ e.Term.
+		lo, hi, step := j, j, 1
+		for hi < len(long) && long[hi].Term < e.Term {
+			lo = hi + 1
+			hi += step
+			step <<= 1
+		}
+		if hi > len(long) {
+			hi = len(long)
+		}
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if long[m].Term < e.Term {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if lo == len(long) {
+			break
+		}
+		j = lo
+		if long[j].Term == e.Term {
+			if shortIsA {
+				s += e.Weight * long[j].Weight
+			} else {
+				s += long[j].Weight * e.Weight
+			}
 			j++
 		}
 	}
@@ -122,38 +182,55 @@ func Cosine(a, b Sparse) float64 {
 }
 
 // Add returns the component-wise sum of a and b.
-func Add(a, b Sparse) Sparse {
-	if a.IsZero() {
-		return b
-	}
-	if b.IsZero() {
-		return a
-	}
-	out := make([]Entry, 0, len(a.entries)+len(b.entries))
-	i, j := 0, 0
-	for i < len(a.entries) && j < len(b.entries) {
-		ta, tb := a.entries[i].Term, b.entries[j].Term
-		switch {
-		case ta == tb:
-			w := a.entries[i].Weight + b.entries[j].Weight
-			if w != 0 {
-				out = append(out, Entry{Term: ta, Weight: w})
-			}
-			i++
-			j++
-		case ta < tb:
-			out = append(out, a.entries[i])
-			i++
-		default:
-			out = append(out, b.entries[j])
-			j++
+func Add(a, b Sparse) Sparse { return Sum(a, b) }
+
+// Sum returns the left fold Add(…Add(Add(vs[0], vs[1]), vs[2])…, vs[n-1])
+// bit for bit — same entries, same norm — merging through two reused
+// buffers instead of allocating a vector per step, so summing n vectors
+// leaves O(n) entries of garbage rather than O(n²).
+func Sum(vs ...Sparse) Sparse {
+	var acc Sparse
+	var cur, next []Entry
+	merged := false // acc.entries is cur and its norm is not yet computed
+	for _, v := range vs {
+		if acc.IsZero() { // Add's identities: 0+v is v itself, acc+0 is acc
+			acc, merged = v, false
+			continue
 		}
+		if v.IsZero() {
+			continue
+		}
+		a, b := acc.entries, v.entries
+		next = next[:0]
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			ta, tb := a[i].Term, b[j].Term
+			switch {
+			case ta == tb:
+				if w := a[i].Weight + b[j].Weight; w != 0 {
+					next = append(next, Entry{Term: ta, Weight: w})
+				}
+				i++
+				j++
+			case ta < tb:
+				next = append(next, a[i])
+				i++
+			default:
+				next = append(next, b[j])
+				j++
+			}
+		}
+		next = append(next, a[i:]...)
+		next = append(next, b[j:]...)
+		cur, next = next, cur
+		acc, merged = Sparse{entries: cur}, true
 	}
-	out = append(out, a.entries[i:]...)
-	out = append(out, b.entries[j:]...)
-	v := Sparse{entries: out}
-	v.norm = v.computeNorm()
-	return v
+	if !merged {
+		return acc
+	}
+	out := Sparse{entries: append(make([]Entry, 0, len(cur)), cur...)}
+	out.norm = out.computeNorm()
+	return out
 }
 
 // Scale returns v scaled by factor c.

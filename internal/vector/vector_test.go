@@ -184,20 +184,6 @@ func TestStringFormat(t *testing.T) {
 	}
 }
 
-func BenchmarkDot(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	m1, m2 := map[int32]float64{}, map[int32]float64{}
-	for i := 0; i < 50; i++ {
-		m1[int32(rng.Intn(500))] = rng.Float64()
-		m2[int32(rng.Intn(500))] = rng.Float64()
-	}
-	x, y := FromMap(m1), FromMap(m2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Dot(x, y)
-	}
-}
-
 func BenchmarkCosine(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	m1, m2 := map[int32]float64{}, map[int32]float64{}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"xmlclust/internal/vector"
 	"xmlclust/internal/xmltree"
@@ -21,9 +22,9 @@ const persistFormat = 2
 // ErrCorruptCorpus tags every structural-corruption error Load returns —
 // truncated streams, offset tables that do not tile the arena, spans with
 // out-of-range or unsorted ids, dangling constituents, inconsistent
-// interning tables. Callers distinguish "this stream is damaged" from
-// version skew ("unsupported corpus format", not wrapped) and plain I/O
-// with errors.Is.
+// interning tables, item vectors with unsorted terms or non-finite
+// weights. Callers distinguish "this stream is damaged" from version skew
+// ("unsupported corpus format", not wrapped) and plain I/O with errors.Is.
 var ErrCorruptCorpus = errors.New("corrupt corpus stream")
 
 // wireCorpus is the gob representation of a preprocessed corpus. Trees are
@@ -150,6 +151,9 @@ func Load(r io.Reader) (*Corpus, error) {
 		if wi.Path < 0 || int(wi.Path) >= paths.Len() {
 			return nil, corrupt("item %d references unknown path %d", i, wi.Path)
 		}
+		if err := checkWireVector(wi.Vector); err != nil {
+			return nil, corrupt("item %d vector: %v", i, err)
+		}
 		var id ItemID
 		if wi.Synthetic {
 			for _, cid := range wi.Constituents {
@@ -188,15 +192,34 @@ func Load(r io.Reader) (*Corpus, error) {
 	return c, nil
 }
 
+// checkWireVector validates a persisted vector before vector.FromEntries
+// sees it: entries strictly ascending by term id, every weight finite.
+func checkWireVector(entries []vector.Entry) error {
+	for k, e := range entries {
+		if k > 0 && e.Term <= entries[k-1].Term {
+			return fmt.Errorf("entry %d (term %d) not strictly ascending", k, e.Term)
+		}
+		if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
+			return fmt.Errorf("entry %d (term %d) has non-finite weight %v", k, e.Term, e.Weight)
+		}
+	}
+	return nil
+}
+
 // loadTransactionsV1 restores the legacy array-of-structs transaction
 // encoding; the columnar view is rebuilt by the caller.
 func loadTransactionsV1(c *Corpus, wc *wireCorpus) error {
 	n := c.Items.Len()
 	for i, wt := range wc.Transactions {
+		var prev ItemID = -1
 		for _, id := range wt.Items {
 			if id < 0 || int(id) >= n {
 				return corrupt("transaction %d references unknown item %d", i, id)
 			}
+			if id <= prev {
+				return corrupt("transaction %d items not strictly ascending at item %d", i, id)
+			}
+			prev = id
 		}
 		c.Transactions = append(c.Transactions, &Transaction{
 			Items: wt.Items, Doc: wt.Doc, TupleIndex: wt.TupleIndex, Label: wt.Label,
@@ -245,6 +268,9 @@ func loadTransactionsColumnar(c *Corpus, wc *wireCorpus) error {
 		lo, hi := wc.TxnOffsets[i], wc.TxnOffsets[i+1]
 		if hi < lo {
 			return corrupt("transaction %d spans [%d, %d): negative length", i, lo, hi)
+		}
+		if int(hi) > len(wc.TxnItems) {
+			return corrupt("transaction %d spans [%d, %d): past the %d-position arena", i, lo, hi, len(wc.TxnItems))
 		}
 		span := wc.TxnItems[lo:hi:hi]
 		var prev ItemID = -1

@@ -26,11 +26,11 @@ func savedPaperStream(t *testing.T) ([]byte, wireCorpus) {
 	return buf.Bytes(), wc
 }
 
-func reencode(t *testing.T, wc wireCorpus) *bytes.Buffer {
-	t.Helper()
+func reencode(tb testing.TB, wc wireCorpus) *bytes.Buffer {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(wc); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return &buf
 }
@@ -208,20 +208,7 @@ func TestLoadFormatVersionSkewIsNotCorruption(t *testing.T) {
 func TestLoadLegacyFormat1Stream(t *testing.T) {
 	c := buildPaperCorpus(t)
 	_, wc := savedPaperStream(t)
-	legacy := wc
-	legacy.Format = 1
-	legacy.TxnItems, legacy.TxnOffsets = nil, nil
-	legacy.TxnDocs, legacy.TxnTuples, legacy.TxnLabels = nil, nil, nil
-	for i := 0; i+1 < len(wc.TxnOffsets); i++ {
-		lo, hi := wc.TxnOffsets[i], wc.TxnOffsets[i+1]
-		legacy.Transactions = append(legacy.Transactions, wireTransaction{
-			Items:      wc.TxnItems[lo:hi],
-			Doc:        int(wc.TxnDocs[i]),
-			TupleIndex: int(wc.TxnTuples[i]),
-			Label:      int(wc.TxnLabels[i]),
-		})
-	}
-	back, err := Load(reencode(t, legacy))
+	back, err := Load(reencode(t, legacyWire(wc)))
 	if err != nil {
 		t.Fatal(err)
 	}

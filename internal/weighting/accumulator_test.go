@@ -3,8 +3,10 @@ package weighting_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
+	"xmlclust/internal/dataset"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/vector"
 	"xmlclust/internal/weighting"
@@ -195,4 +197,30 @@ func TestWeighNewFrozenITF(t *testing.T) {
 			t.Fatalf("transient item weight is not finite: %v", tv)
 		}
 	}
+}
+
+// BenchmarkApply times the ttf.itf pass alone — the per-document fold plus
+// Finalize — over a generated 200-document IEEE collection (long sectioned
+// documents, tens of tuples each, fixed seed). Building the transactions
+// each iteration is untimed and excluded from the allocation count; the
+// figures of merit are ns/doc and allocs/doc.
+func BenchmarkApply(b *testing.B) {
+	trees := dataset.IEEE(dataset.Spec{Docs: 200, Seed: 424242}).Trees
+	var before, after runtime.MemStats
+	var mallocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := txn.Build(trees, txn.BuildOptions{})
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		weighting.Apply(c)
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		b.StartTimer()
+	}
+	docs := float64(b.N * len(trees))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/docs, "ns/doc")
+	b.ReportMetric(float64(mallocs)/docs, "allocs/doc")
 }

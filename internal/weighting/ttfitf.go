@@ -24,10 +24,16 @@
 // document state outlives its document — with Finalize applying the
 // collection-level factors at the end. Apply is the batch driver over the
 // same accumulator.
+//
+// The fold builds no per-document or per-tuple maps. Its scratch (per-term
+// counters, per-item epoch stamps, the tuple's exp memo) is sized by the
+// item and term tables and reused across documents, so memory is still
+// bounded by those tables plus the current document.
 package weighting
 
 import (
 	"math"
+	"slices"
 
 	"xmlclust/internal/textproc"
 	"xmlclust/internal/txn"
@@ -55,52 +61,87 @@ type Stats struct {
 // resulting vectors are byte-identical to the historical batch pass:
 // per-item context sums accumulate in document order either way, and the
 // collection-level itf factor is only applied at the end.
+//
+// The fold builds no map: term ids are dense interned int32s, so every
+// per-term counter is a slice indexed by term id, zeroed again through a
+// touched-terms list once its document or tuple is folded, and each
+// item's terms, tf counts and context sums are parallel slices in
+// ascending term order.
 type Accumulator struct {
 	c *txn.Corpus
-	// Per-item term multiset (tf map) and distinct-term list, extended
-	// lazily as interning grows the item table; term interning therefore
-	// happens in item-id order, keeping term ids deterministic.
-	itemTF    []map[int32]int
+	// Per-item distinct terms (ascending) and their parallel tf counts,
+	// extended lazily as interning grows the item table; term interning
+	// therefore happens in item-id order, keeping term ids deterministic.
 	itemTerms [][]int32
+	itemTF    [][]int32
 	// Collection-level counters, following the tuple-multiplicity reading:
-	// N_T = Σ_τ N_τ and n_{j,T} = Σ_τ n_{j,τ}.
+	// N_T = Σ_τ N_τ and n_{j,T} = Σ_τ n_{j,τ} (njT is indexed by term id).
 	nT  int
-	njT map[int32]int
-	// Per-item occurrence-context running sums:
-	// ctx[t] = Σ over occurrences of exp(n_{j,τ}/N_τ)·(n_{j,XT}/N_XT).
-	accCtx []map[int32]float64
+	njT []int
+	// Per-item occurrence-context running sums, aligned with itemTerms:
+	// accCtx[id][k] = Σ over occurrences of exp(n_{j,τ}/N_τ)·(n_{j,XT}/N_XT)
+	// for term itemTerms[id][k]; nil until the item's first occurrence.
+	accCtx [][]float64
 	accN   []int
 	// weighted marks items whose vector a Finalize or WeighNew pass has
 	// already assigned; WeighNew only touches unmarked items.
 	weighted []bool
+
+	// Per-document scratch, reused across documents. docStamp[id] == epoch
+	// marks the items already counted in the current document; njXT and
+	// njTau are n_{j,XT} and n_{j,τ} by term id, all zero between folds
+	// (touched lists the terms to zero again); expMemo[m] caches
+	// exp(m/N_τ) within one tuple, 0 meaning not yet computed; words holds
+	// syncItems' term ids of one answer.
+	docStamp []uint32
+	epoch    uint32
+	docItems []txn.ItemID
+	njXT     []int32
+	njTau    []int32
+	touched  []int32
+	expMemo  []float64
+	words    []int32
 }
 
 // NewAccumulator creates an accumulator bound to the corpus under
 // construction (the interning tables must be the ones the transactions
 // reference).
 func NewAccumulator(c *txn.Corpus) *Accumulator {
-	return &Accumulator{c: c, njT: map[int32]int{}}
+	return &Accumulator{c: c}
 }
 
 // syncItems extends the per-item state to cover items interned since the
-// last call, preprocessing their answers and interning their terms.
+// last call, preprocessing their answers and interning their terms, and
+// grows the term-indexed counters to the vocabulary size.
 func (a *Accumulator) syncItems() {
 	n := a.c.Items.Len()
-	for id := len(a.itemTF); id < n; id++ {
+	for id := len(a.itemTerms); id < n; id++ {
 		it := a.c.Items.Get(txn.ItemID(id))
-		tf := map[int32]int{}
+		a.words = a.words[:0]
 		for _, w := range textproc.Preprocess(it.Answer) {
-			tf[a.c.Terms.Intern(w)]++
+			a.words = append(a.words, a.c.Terms.Intern(w))
 		}
-		a.itemTF = append(a.itemTF, tf)
-		terms := make([]int32, 0, len(tf))
-		for t := range tf {
+		slices.Sort(a.words)
+		var terms, tf []int32
+		for i, t := range a.words {
+			if i > 0 && t == a.words[i-1] {
+				tf[len(tf)-1]++
+				continue
+			}
 			terms = append(terms, t)
+			tf = append(tf, 1)
 		}
 		a.itemTerms = append(a.itemTerms, terms)
+		a.itemTF = append(a.itemTF, tf)
 		a.accCtx = append(a.accCtx, nil)
 		a.accN = append(a.accN, 0)
 		a.weighted = append(a.weighted, false)
+		a.docStamp = append(a.docStamp, 0)
+	}
+	if v := a.c.Terms.Len(); v > len(a.njT) {
+		a.njT = append(a.njT, make([]int, v-len(a.njT))...)
+		a.njXT = append(a.njXT, make([]int32, v-len(a.njXT))...)
+		a.njTau = append(a.njTau, make([]int32, v-len(a.njTau))...)
 	}
 }
 
@@ -111,7 +152,12 @@ func (a *Accumulator) ObserveDoc(doc int, trs []*txn.Transaction) {
 	a.syncItems()
 
 	// Document-level counts over the document's distinct items.
-	docItems := map[txn.ItemID]struct{}{}
+	a.epoch++
+	if a.epoch == 0 {
+		clear(a.docStamp)
+		a.epoch = 1
+	}
+	a.docItems = a.docItems[:0]
 	for _, tr := range trs {
 		a.nT += tr.Len()
 		for _, id := range tr.Items {
@@ -120,19 +166,20 @@ func (a *Accumulator) ObserveDoc(doc int, trs []*txn.Transaction) {
 			for _, t := range a.itemTerms[id] {
 				a.njT[t]++
 			}
-			docItems[id] = struct{}{}
+			if a.docStamp[id] != a.epoch {
+				a.docStamp[id] = a.epoch
+				a.docItems = append(a.docItems, id)
+			}
 		}
 	}
-	nXT := len(docItems)
+	nXT := len(a.docItems)
 	if nXT == 0 {
 		return
 	}
-	njXT := map[int32]int{}
-	for id := range docItems {
-		for _, t := range a.itemTerms[id] {
-			njXT[t]++
-		}
+	for _, id := range a.docItems {
+		a.countTerms(a.njXT, id)
 	}
+	docTerms := len(a.touched)
 
 	// Per-occurrence context factors, folded into the per-item sums.
 	for _, tr := range trs {
@@ -140,26 +187,58 @@ func (a *Accumulator) ObserveDoc(doc int, trs []*txn.Transaction) {
 			continue
 		}
 		nTau := float64(tr.Len())
-		// n_{j,τ}: per-term count of TCUs (items) in this tuple.
-		njTau := map[int32]int{}
+		// n_{j,τ}: per-term count of TCUs (items) in this tuple. Items of a
+		// tuple are distinct, so n_{j,τ} ∈ [1, N_τ] indexes expMemo.
 		for _, id := range tr.Items {
-			for _, t := range a.itemTerms[id] {
-				njTau[t]++
-			}
+			a.countTerms(a.njTau, id)
+		}
+		if need := tr.Len() + 1; len(a.expMemo) < need {
+			a.expMemo = make([]float64, need)
+		} else {
+			clear(a.expMemo[:need])
 		}
 		for _, id := range tr.Items {
-			if a.accCtx[id] == nil {
-				a.accCtx[id] = map[int32]float64{}
+			terms := a.itemTerms[id]
+			ctx := a.accCtx[id]
+			if ctx == nil {
+				ctx = make([]float64, len(terms))
+				a.accCtx[id] = ctx
 			}
 			a.accN[id]++
-			ctx := a.accCtx[id]
-			for _, t := range a.itemTerms[id] {
-				tupleFactor := math.Exp(float64(njTau[t]) / nTau)
-				treeFactor := float64(njXT[t]) / float64(nXT)
-				ctx[t] += tupleFactor * treeFactor
+			for k, t := range terms {
+				m := a.njTau[t]
+				tupleFactor := a.expMemo[m]
+				if tupleFactor == 0 {
+					tupleFactor = math.Exp(float64(m) / nTau)
+					a.expMemo[m] = tupleFactor
+				}
+				treeFactor := float64(a.njXT[t]) / float64(nXT)
+				ctx[k] += tupleFactor * treeFactor
 			}
 		}
+		a.resetTouched(a.njTau, docTerms)
 	}
+	a.resetTouched(a.njXT, 0)
+}
+
+// countTerms adds one to counts[t] for every distinct term t of item id,
+// recording on the touched list each term whose counter leaves zero.
+func (a *Accumulator) countTerms(counts []int32, id txn.ItemID) {
+	for _, t := range a.itemTerms[id] {
+		if counts[t] == 0 {
+			a.touched = append(a.touched, t)
+		}
+		counts[t]++
+	}
+}
+
+// resetTouched zeroes counts at the terms touched since position from and
+// truncates the touched list back to from.
+func (a *Accumulator) resetTouched(counts []int32, from int) {
+	for _, t := range a.touched[from:] {
+		counts[t] = 0
+	}
+	a.touched = a.touched[:from]
 }
 
 // Finalize applies the collection-level itf factor and assigns every item's
@@ -167,7 +246,7 @@ func (a *Accumulator) ObserveDoc(doc int, trs []*txn.Transaction) {
 func (a *Accumulator) Finalize() Stats {
 	a.syncItems()
 	stats := Stats{TotalTCUs: a.nT}
-	for id := range a.itemTF {
+	for id := range a.itemTerms {
 		if a.c.Items.Get(txn.ItemID(id)).Synthetic {
 			// Synthetic representative items carry vectors conflated at
 			// intern time; re-deriving them from the merged answer key
@@ -176,12 +255,11 @@ func (a *Accumulator) Finalize() Stats {
 			continue
 		}
 		a.weighted[id] = true
-		tf := a.itemTF[id]
-		if len(tf) == 0 {
+		if len(a.itemTerms[id]) == 0 {
 			stats.EmptyItems++
 			continue
 		}
-		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id, tf, a.njT))
+		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id))
 	}
 	// Every raw item's vector may have changed: bring the whole columnar
 	// weight column (per-position vector norms) back in sync.
@@ -190,12 +268,13 @@ func (a *Accumulator) Finalize() Stats {
 	return stats
 }
 
-// weigh computes one item's ttf.itf vector from its term-frequency map and
-// a collection-level document-frequency view.
-func (a *Accumulator) weigh(id int, tf map[int32]int, njT map[int32]int) vector.Sparse {
-	weights := make(map[int32]float64, len(tf))
-	for t, f := range tf {
-		nj := njT[t]
+// weigh computes one item's ttf.itf vector from its term frequencies and
+// the collection-level counters. Entries come out in ascending term order.
+func (a *Accumulator) weigh(id int) vector.Sparse {
+	terms, tf, ctx := a.itemTerms[id], a.itemTF[id], a.accCtx[id]
+	entries := make([]vector.Entry, 0, len(terms))
+	for k, t := range terms {
+		nj := a.njT[t]
 		if nj < 1 {
 			// Term unseen by any observed document (transient classify-time
 			// items): treat it as occurring once so the idf stays finite.
@@ -204,14 +283,17 @@ func (a *Accumulator) weigh(id int, tf map[int32]int, njT map[int32]int) vector.
 		idf := math.Log(float64(a.nT) / float64(nj))
 		avgCtx := 1.0
 		if a.accN[id] > 0 {
-			avgCtx = a.accCtx[id][t] / float64(a.accN[id])
+			avgCtx = ctx[k] / float64(a.accN[id])
 		}
-		w := float64(f) * avgCtx * idf
+		w := float64(tf[k]) * avgCtx * idf
 		if w > 0 {
-			weights[t] = w
+			entries = append(entries, vector.Entry{Term: t, Weight: w})
 		}
 	}
-	return vector.FromMap(weights)
+	if len(entries) == 0 {
+		return vector.Sparse{}
+	}
+	return vector.FromEntries(entries)
 }
 
 // WeighNew assigns TCU vectors to the items interned since the last
@@ -227,7 +309,7 @@ func (a *Accumulator) weigh(id int, tf map[int32]int, njT map[int32]int) vector.
 func (a *Accumulator) WeighNew() int {
 	a.syncItems()
 	n := 0
-	for id := range a.itemTF {
+	for id := range a.itemTerms {
 		if a.weighted[id] {
 			continue
 		}
@@ -236,11 +318,10 @@ func (a *Accumulator) WeighNew() int {
 		if a.c.Items.Get(txn.ItemID(id)).Synthetic {
 			continue
 		}
-		tf := a.itemTF[id]
-		if len(tf) == 0 || a.nT == 0 {
+		if len(a.itemTerms[id]) == 0 || a.nT == 0 {
 			continue // zero vector: no text, or nothing observed yet
 		}
-		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id, tf, a.njT))
+		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id))
 	}
 	// Only never-weighted items changed, and older spans cannot reference
 	// them, so refreshing the positions appended since the last pass keeps

@@ -186,20 +186,3 @@ func TestSharedItemAveragesContexts(t *testing.T) {
 		t.Fatal("shared item not interned once")
 	}
 }
-
-func BenchmarkApply(b *testing.B) {
-	var docs []string
-	for i := 0; i < 20; i++ {
-		docs = append(docs, `<r><a>alpha beta gamma delta epsilon</a><b>zeta eta theta iota kappa</b><c>lambda mu nu xi omicron</c></r>`)
-	}
-	var trees []*xmltree.Tree
-	for _, d := range docs {
-		tr, _ := xmltree.ParseString(d, xmltree.DefaultParseOptions())
-		trees = append(trees, tr)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := txn.Build(trees, txn.BuildOptions{})
-		Apply(c)
-	}
-}

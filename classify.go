@@ -29,9 +29,9 @@ type ClassifyOptions struct {
 	MaxTuplesPerTree int
 	// IndexReps selects the inverted representative index for the scan
 	// (default RepIndexAuto = on; the assignment is byte-identical in every
-	// mode). Without a prebuilt Index the index is built per call — worth it
-	// from a few dozen representatives up; pass RepIndexOff for tiny rep
-	// sets on hot paths.
+	// mode). Either mode reads the representatives' term postings from an
+	// index; without a prebuilt Index one is built per call (candidate
+	// lists only when the mode is on).
 	IndexReps RepIndexMode
 	// Index, when non-nil, is a prebuilt representative index from
 	// Engine.BuildRepIndex. It is used only when it matches this call — same
@@ -152,16 +152,20 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 	candBefore := cx.Counters.IndexCandidates.Load()
 	skipBefore := cx.Counters.IndexSkipped.Load()
 
-	// Pick the index tier: a matching prebuilt index wins; otherwise build
-	// one for this call unless the mode forces the flat scan.
+	// A matching prebuilt index wins; otherwise build one for this call.
+	// The flat scan (IndexReps off) still reads the representatives' term
+	// postings from it, so they are built once, not once per transaction.
+	indexed := opts.IndexReps.enabled()
 	var ix *sim.RepIndex
-	if opts.IndexReps.enabled() {
-		if opts.Index.matches(cx, reps) {
-			ix = opts.Index.ix
-		} else {
-			ix = sim.NewRepIndex()
-			ix.Build(cx, reps)
-		}
+	switch {
+	case opts.Index.matches(cx, reps):
+		ix = opts.Index.ix
+	case indexed:
+		ix = sim.NewRepIndex()
+		ix.Build(cx, reps)
+	default:
+		ix = sim.NewRepIndex()
+		ix.BuildPostings(cx, reps)
 	}
 
 	assign := make([]int, len(trs))
@@ -169,7 +173,7 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 	nw := parallel.WorkerCount(opts.Workers, len(trs))
 	scratches := make([]*sim.Scratch, nw)
 	var queries []*sim.RepQuery
-	if ix != nil && ix.Enabled() {
+	if indexed && ix.Enabled() {
 		queries = make([]*sim.RepQuery, nw)
 	}
 	err := parallel.ForCtxWorkers(ctx, opts.Workers, len(trs), func(w, i int) {
@@ -178,13 +182,14 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 			sc = sim.NewScratch()
 			scratches[w] = sc
 		}
-		var rq *sim.RepQuery
-		if queries != nil {
-			rq = queries[w]
-			if rq == nil {
-				rq = sim.NewRepQuery()
-				queries[w] = rq
-			}
+		if queries == nil {
+			assign[i], sims[i] = cluster.RelocateOne(cx, trs[i], reps, ix, sc)
+			return
+		}
+		rq := queries[w]
+		if rq == nil {
+			rq = sim.NewRepQuery()
+			queries[w] = rq
 		}
 		assign[i], sims[i] = cluster.RelocateOneIndexed(cx, trs[i], reps, ix, rq, sc)
 	})

@@ -563,10 +563,16 @@ func TestRelocateOneMatchesRelocate(t *testing.T) {
 	}
 	batch := Relocate(cx, corpus.Transactions, reps)
 	sc := sim.NewScratch()
+	ix := sim.NewRepIndex()
+	ix.BuildPostings(cx, reps)
 	for i, tr := range corpus.Transactions {
-		gotJ, gotSim := RelocateOne(cx, tr, reps, sc)
+		gotJ, gotSim := RelocateOne(cx, tr, reps, nil, sc)
 		if gotJ != batch[i] {
 			t.Errorf("transaction %d: RelocateOne chose %d, Relocate chose %d", i, gotJ, batch[i])
+		}
+		// Postings shared through an index must give the same scan.
+		if j, v := RelocateOne(cx, tr, reps, ix, sc); j != gotJ || v != gotSim {
+			t.Errorf("transaction %d: RelocateOne with index postings (%d,%g) != (%d,%g)", i, j, v, gotJ, gotSim)
 		}
 		if gotJ == TrashCluster {
 			if gotSim != 0 {
@@ -581,16 +587,16 @@ func TestRelocateOneMatchesRelocate(t *testing.T) {
 			t.Errorf("transaction %d: RelocateOne sim %g, direct %g", i, gotSim, want)
 		}
 		// nil scratch must allocate and agree.
-		j2, s2 := RelocateOne(cx, tr, reps, nil)
+		j2, s2 := RelocateOne(cx, tr, reps, nil, nil)
 		if j2 != gotJ || s2 != gotSim {
 			t.Errorf("transaction %d: nil-scratch RelocateOne (%d,%g) != (%d,%g)", i, j2, s2, gotJ, gotSim)
 		}
 	}
 	// Nil and empty representative sets are trash.
-	if j, s := RelocateOne(cx, corpus.Transactions[0], nil, sc); j != TrashCluster || s != 0 {
+	if j, s := RelocateOne(cx, corpus.Transactions[0], nil, nil, sc); j != TrashCluster || s != 0 {
 		t.Errorf("empty reps: got (%d,%g)", j, s)
 	}
-	if j, _ := RelocateOne(cx, corpus.Transactions[0], []*txn.Transaction{nil, nil}, sc); j != TrashCluster {
+	if j, _ := RelocateOne(cx, corpus.Transactions[0], []*txn.Transaction{nil, nil}, nil, sc); j != TrashCluster {
 		t.Errorf("all-nil reps: got cluster %d", j)
 	}
 }

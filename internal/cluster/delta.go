@@ -214,6 +214,7 @@ func (d *DeltaState) Relocate(ctx context.Context, cx *sim.Context, s []*txn.Tra
 		// Defensive: a mismatched rep set invalidates every anchor.
 		d.Reset()
 	}
+	ix = postingsFor(cx, reps, ix)
 	assign := make([]int, len(s))
 	if !d.relocValid || len(d.bestJ) != len(s) {
 		if cap(d.bestJ) < len(s) {
@@ -359,7 +360,7 @@ func (d *DeltaState) relocateOneDelta(cx *sim.Context, tr *txn.Transaction, reps
 			if !d.changed[j] {
 				continue // its cached score already lost to the anchor
 			}
-			v := cx.TransactionsAtLeast(tr, reps[j], math.Nextafter(best, math.Inf(-1)), sc)
+			v := cx.TransactionsRep(tr, ix.Postings(j), math.Nextafter(best, math.Inf(-1)), sc)
 			evaluated++
 			if v > best {
 				best, bestJ = v, j
@@ -375,7 +376,7 @@ func (d *DeltaState) relocateOneDelta(cx *sim.Context, tr *txn.Transaction, reps
 		if !d.changed[j] || rep == nil || rep.Len() == 0 {
 			continue
 		}
-		v := cx.TransactionsAtLeast(tr, rep, math.Nextafter(best, math.Inf(-1)), sc)
+		v := repSim(cx, tr, reps, j, ix, math.Nextafter(best, math.Inf(-1)), sc)
 		evaluated++
 		if v > best {
 			best, bestJ = v, j

@@ -78,7 +78,7 @@ func TestRelocateIndexEquivalence(t *testing.T) {
 				sc := sim.NewScratch()
 				rq := sim.NewRepQuery()
 				for i, tr := range s {
-					wantJ, wantV := RelocateOne(cx, tr, reps, sc)
+					wantJ, wantV := RelocateOne(cx, tr, reps, nil, sc)
 					gotJ, gotV := RelocateOneIndexed(cx, tr, reps, ix, rq, sc)
 					if gotJ != wantJ || gotV != wantV {
 						t.Fatalf("%s params %+v reps#%d doc %d: indexed (%d, %v) != flat (%d, %v)",

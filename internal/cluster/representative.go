@@ -26,6 +26,7 @@ package cluster
 import (
 	"slices"
 	"sort"
+	"sync"
 
 	"xmlclust/internal/parallel"
 	"xmlclust/internal/sim"
@@ -233,6 +234,11 @@ func sortRanked(r []rankedItem) {
 	})
 }
 
+// repPostingsPool recycles generateTreeTuple's candidate postings across
+// calls: every refinement step rebuilds them, and the slabs one call grew
+// fit the next, so a round does not reallocate them per cluster.
+var repPostingsPool = sync.Pool{New: func() any { return new(sim.RepPostings) }}
+
 // generateTreeTuple implements GenerateTreeTuple of Fig. 6. ranked must be
 // sorted by descending rank. c supplies |trmax| and the refinement
 // objective Σ_{tr∈C} simγJ(tr, rep′).
@@ -245,16 +251,20 @@ func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction)
 	// computed across the worker pool — each worker reusing one similarity
 	// Scratch across the whole refinement, so no step allocates per pair —
 	// and reduced in index order (the float sum must not depend on the
-	// schedule).
+	// schedule). The candidate's term postings are built once per
+	// evaluation and shared read-only by the workers.
 	scratches := make([]*sim.Scratch, parallel.WorkerCount(cfg.Workers, len(c)))
+	rp := repPostingsPool.Get().(*sim.RepPostings)
+	defer repPostingsPool.Put(rp)
 	objective := func(rep *txn.Transaction) float64 {
+		rp.Build(cx, rep)
 		return parallel.SumWorkers(cfg.Workers, len(c), func(w, i int) float64 {
 			sc := scratches[w]
 			if sc == nil {
 				sc = sim.NewScratch()
 				scratches[w] = sc
 			}
-			return cx.Transactions(c[i], rep, sc)
+			return cx.TransactionsRep(c[i], rp, -1, sc)
 		})
 	}
 	// Batch size: rank ties always travel together; under

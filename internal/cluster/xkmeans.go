@@ -162,6 +162,7 @@ func RelocateCtx(ctx context.Context, cx *sim.Context, s []*txn.Transaction, rep
 // scan. ix must have been built over exactly this reps slice under cx's
 // parameters; assignments are byte-identical with the index on or off.
 func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int, ix *sim.RepIndex) ([]int, error) {
+	ix = postingsFor(cx, reps, ix)
 	assign := make([]int, len(s))
 	nw := parallel.WorkerCount(workers, len(s))
 	scratches := make([]*sim.Scratch, nw)
@@ -191,6 +192,27 @@ func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transacti
 	return assign, nil
 }
 
+// postingsFor returns ix, or — when the caller has no index — a
+// postings-only index over reps, so a scan builds each representative's
+// term postings once rather than once per document.
+func postingsFor(cx *sim.Context, reps []*txn.Transaction, ix *sim.RepIndex) *sim.RepIndex {
+	if ix != nil {
+		return ix
+	}
+	ix = sim.NewRepIndex()
+	ix.BuildPostings(cx, reps)
+	return ix
+}
+
+// repSim is TransactionsAtLeast(tr, reps[j], threshold, sc), reading rep
+// j's postings from ix when there is one.
+func repSim(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, j int, ix *sim.RepIndex, threshold float64, sc *sim.Scratch) float64 {
+	if ix != nil {
+		return cx.TransactionsRep(tr, ix.Postings(j), threshold, sc)
+	}
+	return cx.TransactionsAtLeast(tr, reps[j], threshold, sc)
+}
+
 // RelocateOne relocates a single transaction against a fixed representative
 // set: it returns the argmax cluster (ties to the lowest index, nil and
 // empty representatives never win, TrashCluster when every similarity is
@@ -198,9 +220,11 @@ func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transacti
 // scan RelocateCtx runs — exposed as the single-document entry point of the
 // incremental serving layer, so online assignments match what a batch
 // relocation would produce for the same representatives by construction.
-// The scan threads its running best through the branch-and-bound kernel;
-// sc may be nil (a scratch is then allocated per call).
-func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, sc *sim.Scratch) (int, float64) {
+// The scan threads its running best through the branch-and-bound kernel
+// over every representative, whether or not ix could prune candidates: ix
+// (built over reps; may be nil) only supplies the representatives' term
+// postings. sc may be nil (a scratch is then allocated per call).
+func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, sc *sim.Scratch) (int, float64) {
 	if sc == nil {
 		sc = sim.NewScratch()
 	}
@@ -209,7 +233,7 @@ func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, 
 		if rep == nil || rep.Len() == 0 {
 			continue
 		}
-		v := cx.TransactionsAtLeast(tr, rep, best, sc)
+		v := repSim(cx, tr, reps, j, ix, best, sc)
 		if v > best {
 			best, bestJ = v, j
 		}
@@ -244,7 +268,7 @@ func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, 
 // pass a per-goroutine RepQuery on hot paths.
 func RelocateOneIndexed(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, rq *sim.RepQuery, sc *sim.Scratch) (int, float64) {
 	if ix == nil || !ix.Enabled() {
-		return RelocateOne(cx, tr, reps, sc)
+		return RelocateOne(cx, tr, reps, ix, sc)
 	}
 	if sc == nil {
 		sc = sim.NewScratch()
@@ -260,7 +284,7 @@ func RelocateOneIndexed(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transa
 		if ub < best || (ub == best && j > bestJ) {
 			break
 		}
-		v := cx.TransactionsAtLeast(tr, reps[j], math.Nextafter(best, math.Inf(-1)), sc)
+		v := cx.TransactionsRep(tr, ix.Postings(j), math.Nextafter(best, math.Inf(-1)), sc)
 		evaluated++
 		if v > best {
 			best, bestJ = v, j
@@ -293,18 +317,17 @@ func XKMeans(cx *sim.Context, s []*txn.Transaction, cfg Config) *Clustering {
 	for i := range cl.Assign {
 		cl.Assign[i] = TrashCluster
 	}
-	var ix *sim.RepIndex
-	if cfg.IndexReps {
-		ix = sim.NewRepIndex()
-	}
+	ix := sim.NewRepIndex()
 	var ds *DeltaState
 	if cfg.DeltaRounds {
 		ds = NewDeltaState(k)
 	}
 	for iter := 0; iter < maxIter; iter++ {
 		cl.Iterations = iter + 1
-		if ix != nil {
+		if cfg.IndexReps {
 			ix.Build(cx, reps)
+		} else {
+			ix.BuildPostings(cx, reps)
 		}
 		var assign []int
 		if ds != nil {
@@ -396,6 +419,7 @@ func SSE(cx *sim.Context, s []*txn.Transaction, assign []int, reps []*txn.Transa
 // reduced in index order (parallel.SumWorkers), so the float result is
 // byte-identical to the serial SSE for any worker count.
 func SSEWorkers(cx *sim.Context, s []*txn.Transaction, assign []int, reps []*txn.Transaction, workers int) float64 {
+	ix := postingsFor(cx, reps, nil)
 	scratches := make([]*sim.Scratch, parallel.WorkerCount(workers, len(assign)))
 	return parallel.SumWorkers(workers, len(assign), func(w, i int) float64 {
 		a := assign[i]
@@ -407,7 +431,7 @@ func SSEWorkers(cx *sim.Context, s []*txn.Transaction, assign []int, reps []*txn
 			sc = sim.NewScratch()
 			scratches[w] = sc
 		}
-		return 1 - cx.Transactions(s[i], reps[a], sc)
+		return 1 - cx.TransactionsRep(s[i], ix.Postings(a), -1, sc)
 	})
 }
 

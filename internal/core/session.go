@@ -238,9 +238,10 @@ type session struct {
 	assign     []int              // local assignment
 	rounds     int
 	report     PeerReport
-	// repIndex is the per-round inverted representative index (IndexReps);
-	// rebuilt at each relocation phase over the fixed globals, its arrays
-	// reused across rounds.
+	// repIndex is the per-round representative index: the globals' term
+	// postings, plus candidate pruning when IndexReps is on. Rebuilt at
+	// each relocation phase over the fixed globals, its arrays reused
+	// across rounds.
 	repIndex *sim.RepIndex
 	// seenStates fingerprints past local-representative states. Fig. 5
 	// terminates on exact representative stability; greedy representative
@@ -479,15 +480,17 @@ func (s *session) relocate(ctx context.Context) error {
 	s.compute(s.round, func() {
 		// The globals are fixed for the whole relocation loop, so one index
 		// build serves every pass of this round. The session keeps the index
-		// across rounds: rebuilds reuse its slabs and maps.
-		var ix *sim.RepIndex
-		if cfg.IndexReps {
-			if s.repIndex == nil {
-				s.repIndex = sim.NewRepIndex()
-			}
-			s.repIndex.Build(cfg.Ctx, s.global)
-			ix = s.repIndex
+		// across rounds: rebuilds reuse its slabs and maps. With candidate
+		// pruning off it still carries the globals' term postings.
+		if s.repIndex == nil {
+			s.repIndex = sim.NewRepIndex()
 		}
+		if cfg.IndexReps {
+			s.repIndex.Build(cfg.Ctx, s.global)
+		} else {
+			s.repIndex.BuildPostings(cfg.Ctx, s.global)
+		}
+		ix := s.repIndex
 		for {
 			var assign []int
 			var err error

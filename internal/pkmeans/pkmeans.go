@@ -332,14 +332,15 @@ func (p *peer) run(ctx context.Context) error {
 		var localReps map[int]core.WeightedWireRep
 		var localSSE float64
 		p.compute(round, func() {
-			var ix *sim.RepIndex
-			if p.indexReps {
-				if p.repIndex == nil {
-					p.repIndex = sim.NewRepIndex()
-				}
-				p.repIndex.Build(p.cx, p.global)
-				ix = p.repIndex
+			if p.repIndex == nil {
+				p.repIndex = sim.NewRepIndex()
 			}
+			if p.indexReps {
+				p.repIndex.Build(p.cx, p.global)
+			} else {
+				p.repIndex.BuildPostings(p.cx, p.global)
+			}
+			ix := p.repIndex
 			if p.deltaRounds && p.delta == nil {
 				p.delta = cluster.NewDeltaState(p.k)
 			}

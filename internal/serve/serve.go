@@ -200,10 +200,10 @@ type snapshot struct {
 	// corpus.Transactions (live documents only).
 	ranges   map[int][2]int
 	liveTxns int
-	// idx is the prebuilt representative index over reps (nil when disabled
-	// or before the first refresh). Items interned after the build are
-	// handled soundly, so the index stays valid until reps change — i.e.
-	// until the snapshot itself is replaced.
+	// idx is the prebuilt representative index over reps (nil before the
+	// first refresh; built with IndexReps off too, for its postings). Items
+	// interned after the build are handled soundly, so the index stays
+	// valid until reps change — i.e. until the snapshot itself is replaced.
 	idx *xmlclust.RepIndex
 }
 
@@ -455,10 +455,12 @@ func (s *Service) Stats() Stats {
 		Drift:     s.driftLocked(),
 		Refreshes: s.refreshes, MaintenanceRounds: s.rounds, Reassigned: s.reassigned,
 		PrunedRows: s.pruned, ScratchReuses: s.reuses,
-		IndexEntries: s.snap.idx.Entries(), IndexedReps: s.snap.idx.Reps(),
 		IndexCandidates: s.idxCand, IndexSkipped: s.idxSkip,
 		RepsReused: s.repsReused, DocsSkipped: s.docsSkip, DeltaRepBytes: s.deltaBytes,
 		ClusterSizes: make([]int, s.cfg.K),
+	}
+	if s.cfg.IndexReps != xmlclust.RepIndexOff {
+		st.IndexEntries, st.IndexedReps = s.snap.idx.Entries(), s.snap.idx.Reps()
 	}
 	for id, rec := range s.docs {
 		if rec.removed {
@@ -630,9 +632,10 @@ func (s *Service) refreshLocked(ctx context.Context) (int, error) {
 
 	// Prebuild the representative index once per refresh: every classify
 	// scan until the next refresh reuses it (items interned online are
-	// handled soundly, so it never goes stale before reps change).
+	// handled soundly, so it never goes stale before reps change). With
+	// IndexReps off the flat scans still read its term postings.
 	var idx *xmlclust.RepIndex
-	if s.cfg.IndexReps != xmlclust.RepIndexOff && len(reps) > 0 {
+	if len(reps) > 0 {
 		idx, err = eng.BuildRepIndex(reps, s.cfg.F, s.cfg.Gamma)
 		if err != nil {
 			return 0, err

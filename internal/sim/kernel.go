@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"xmlclust/internal/txn"
@@ -25,11 +26,17 @@ import (
 // The inner loop is columnar: a transaction pair is resolved once into flat
 // per-position arrays — item ids straight from the sorted Items slices, tag
 // paths from the corpus's columnar arena (txn.Columnar) when the
-// transaction carries a span, TCU vector headers bulk-copied from the item
-// table's vector column — and the n1×n2 pass then reads only contiguous
-// slices. No *txn.Item is dereferenced anywhere on the hot path; the
-// pointer-based layout survives only in the SeedTransactions oracle this
-// kernel is benchmarked and equivalence-tested against.
+// transaction carries a span, tr1's TCU vector headers bulk-copied from the
+// item table's vector column — and the n1×n2 pass then reads only
+// contiguous slices. The content half of Eq. 1 comes from term postings of
+// the tr2 side (vector.Postings): each tr1 row walks its item's sorted
+// terms once and scatters the matching products into the row, instead of
+// one vector.Dot per item pair. Representative sets build those postings
+// once and share them read-only (RepPostings, RepIndex); a bare tr2 gets
+// them built into the Scratch behind the column memo. No *txn.Item is
+// dereferenced anywhere on the hot path; the pointer-based layout survives
+// only in the SeedTransactions oracle this kernel is benchmarked and
+// equivalence-tested against.
 //
 // Tie rule (shared by all three readings): an item e ∈ tr_i belongs to
 // matchγ(tr_i→tr_j) iff some e_h ∈ tr_j has sim(e, e_h) ≥ γ and no other
@@ -107,6 +114,15 @@ type Scratch struct {
 	lastTab          *txn.ItemTable
 	lastVecVer       uint64
 	lastTr1, lastTr2 *txn.Transaction
+
+	// post holds the term postings of a bare tr2 (callers without a
+	// RepPostings), keyed like the column memo: postTr at vector version
+	// postVer of table postTab. A SetVector since the build forces a
+	// rebuild from freshly resolved vectors.
+	post    vector.Postings
+	postTab *txn.ItemTable
+	postVer uint64
+	postTr  *txn.Transaction
 }
 
 // NewScratch returns an empty kernel scratch; buffers are grown on first
@@ -328,7 +344,10 @@ func (cx *Context) resolveSide(tr *txn.Transaction, vecs []vector.Sparse, tpRaw,
 // bailout decision exact: the true similarity can never exceed the bound's
 // quotient, so callers comparing with a strict > observe byte-identical
 // decisions with pruning on or off.
-func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold float64, u int) (int, bool) {
+//
+// post is tr2's term postings; nil builds them into sc (memoized per tr2
+// and vector version).
+func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, post *vector.Postings, sc *Scratch, threshold float64, u int) (int, bool) {
 	n1, n2 := tr1.Len(), tr2.Len()
 	if n1 == 0 || n2 == 0 {
 		return 0, true
@@ -359,6 +378,15 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 		sc.nd2 = cx.resolveSide(tr2, sc.vecs2, sc.tpRaw2, sc.tp2, sc.tpIdx2)
 	}
 	sc.lastTab, sc.lastVecVer, sc.lastTr1, sc.lastTr2 = cx.Items, vecVer, tr1, tr2
+	if f < 1 && post == nil {
+		// sc.vecs2 holds tr2's vectors at vecVer: kept by the column memo
+		// under the same key, or resolved just above.
+		if sc.postTab != cx.Items || sc.postVer != vecVer || sc.postTr != tr2 {
+			sc.post.Build(sc.vecs2)
+			sc.postTab, sc.postVer, sc.postTr = cx.Items, vecVer, tr2
+		}
+		post = &sc.post
+	}
 	colBest := sc.colBest
 	for j := range colBest {
 		colBest[j] = -1
@@ -387,7 +415,6 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 		sc.lastCx = cx
 	}
 	ids1, ids2 := tr1.Items, tr2.Items
-	vecs2 := sc.vecs2
 	qualRows := 0
 	for i := 0; i < n1; i++ {
 		if prune && float64(qualRows+(n1-i)+n2)/float64(u) <= threshold {
@@ -415,18 +442,22 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 		}
 		row := sc.simM[i*n2 : (i+1)*n2]
 		rowBest := -1.0
-		va := sc.vecs1[i]
-		// The tight loop: contiguous reads only — the tag-path slot column,
-		// the resolved vector headers and the similarity row. The
-		// arithmetic replicates Item (Eq. 1) operation for operation, so
-		// values are bit-identical to direct Item calls.
+		if f < 1 {
+			// The content cosines of the whole row from tr2's postings:
+			// Cosine(vecs1[i], ·) bit for bit (see vector.Postings).
+			post.Cosines(sc.vecs1[i], row)
+		}
+		// The tight loop: contiguous reads only — the tag-path slot column
+		// and the similarity row holding the cosines. The arithmetic
+		// replicates Item (Eq. 1) operation for operation, so values are
+		// bit-identical to direct Item calls.
 		for j := range row {
 			s := 0.0
 			if f > 0 {
 				s += f * structRow[sc.tpIdx2[j]]
 			}
 			if f < 1 {
-				s += (1 - f) * vector.Cosine(va, vecs2[j])
+				s += (1 - f) * row[j]
 			}
 			row[j] = s
 			if s > rowBest {
@@ -436,9 +467,8 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 				colBest[j] = s
 			}
 		}
-		// One batched counter add per processed row instead of one atomic
-		// per pair: totals are identical (pruned rows never counted their
-		// pairs before either), contention is n2× lower.
+		// The row decided n2 item pairs (see Counters.ItemSims): one
+		// batched add per processed row, none for pruned rows.
 		cx.Counters.ItemSims.Add(int64(n2))
 		// Direction tr2 → tr1: the best matchers of tr1's item i within tr2.
 		// rowBest is final once the row is filled, so the marks are set here,
@@ -500,7 +530,7 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 // pass a per-goroutine Scratch on hot paths to stay allocation-free.
 func (cx *Context) MatchCount(tr1, tr2 *txn.Transaction, sc *Scratch) int {
 	sc, pooled := getScratch(sc)
-	n, _ := cx.matchKernel(tr1, tr2, sc, -1, 0)
+	n, _ := cx.matchKernel(tr1, tr2, nil, sc, -1, 0)
 	putScratch(sc, pooled)
 	return n
 }
@@ -519,7 +549,7 @@ func (cx *Context) MatchSet(tr1, tr2 *txn.Transaction) map[txn.ItemID]struct{} {
 		return shared
 	}
 	sc, pooled := getScratch(nil)
-	cx.matchKernel(tr1, tr2, sc, -1, 0)
+	cx.matchKernel(tr1, tr2, nil, sc, -1, 0)
 	for i := 0; i < n1; i++ {
 		if hasBit(sc.mark1, i) {
 			shared[tr1.Items[i]] = struct{}{}
@@ -539,15 +569,7 @@ func (cx *Context) MatchSet(tr1, tr2 *txn.Transaction) map[txn.ItemID]struct{} {
 // call); with a warm caller-owned Scratch the evaluation performs zero heap
 // allocations.
 func (cx *Context) Transactions(tr1, tr2 *txn.Transaction, sc *Scratch) float64 {
-	cx.Counters.TxnSims.Add(1)
-	u := txn.UnionSize(tr1, tr2)
-	if u == 0 {
-		return 0
-	}
-	sc, pooled := getScratch(sc)
-	n, _ := cx.matchKernel(tr1, tr2, sc, -1, u)
-	putScratch(sc, pooled)
-	return float64(n) / float64(u)
+	return cx.transactionsAtLeast(tr1, tr2, nil, -1, sc)
 }
 
 // TransactionsAtLeast is Transactions with exact branch-and-bound pruning:
@@ -563,16 +585,52 @@ func (cx *Context) Transactions(tr1, tr2 *txn.Transaction, sc *Scratch) float64 
 // The skipped work is counted in Counters.PrunedRows (tr1 rows whose item
 // similarities were never evaluated).
 func (cx *Context) TransactionsAtLeast(tr1, tr2 *txn.Transaction, threshold float64, sc *Scratch) float64 {
+	return cx.transactionsAtLeast(tr1, tr2, nil, threshold, sc)
+}
+
+// TransactionsRep is TransactionsAtLeast(tr1, tr2, threshold, sc) for the
+// tr2 that rep was built over, bit for bit, reading tr2's content through
+// postings built once by rep.Build instead of once per call: the form for
+// scans that evaluate many transactions against the same representative.
+// A negative threshold computes Transactions. rep must have been built
+// against cx's item table, with no SetVector on its items since.
+func (cx *Context) TransactionsRep(tr1 *txn.Transaction, rep *RepPostings, threshold float64, sc *Scratch) float64 {
+	return cx.transactionsAtLeast(tr1, rep.tr, &rep.post, threshold, sc)
+}
+
+func (cx *Context) transactionsAtLeast(tr1, tr2 *txn.Transaction, post *vector.Postings, threshold float64, sc *Scratch) float64 {
 	cx.Counters.TxnSims.Add(1)
 	u := txn.UnionSize(tr1, tr2)
 	if u == 0 {
 		return 0
 	}
 	sc, pooled := getScratch(sc)
-	n, completed := cx.matchKernel(tr1, tr2, sc, threshold, u)
+	n, completed := cx.matchKernel(tr1, tr2, post, sc, threshold, u)
 	putScratch(sc, pooled)
 	if !completed {
 		return threshold
 	}
 	return float64(n) / float64(u)
+}
+
+// RepPostings is a transaction prepared as the representative (tr2) side
+// of the match kernel: the term postings of its items' TCU vectors, built
+// once and read by every TransactionsRep call against it. It is immutable
+// between Builds and safe for concurrent reads; Build reuses its slabs.
+type RepPostings struct {
+	tr   *txn.Transaction
+	post vector.Postings
+	vecs []vector.Sparse // Build's resolution buffer
+}
+
+// Build prepares rep (nil is treated as empty) against cx's item table.
+func (rp *RepPostings) Build(cx *Context, rep *txn.Transaction) {
+	rp.tr = rep
+	var ids []txn.ItemID
+	if rep != nil {
+		ids = rep.Items
+	}
+	rp.vecs = slices.Grow(rp.vecs[:0], len(ids))[:len(ids)]
+	cx.Items.ResolveVectors(ids, rp.vecs)
+	rp.post.Build(rp.vecs)
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -67,45 +69,175 @@ var kernelParamsGrid = []Params{
 	{F: 1, Gamma: 0.999},
 }
 
-// TestMatchCountEqualsMatchSet pins the count-only kernel to the
-// materialized set on randomized corpora: MatchCount == len(MatchSet) ==
-// len(referenceMatchSet) for every pair and every params combination, and
-// the three Eq. 4 readings (Transactions, TransactionsAtLeast with a
-// negative threshold, the seed reference) agree bit for bit.
+// conflatedKernelCorpus builds the content shapes of Eq. 1 that the
+// postings path must reproduce bit for bit: document transactions of short
+// items (0–4 terms over a 120-term vocabulary, zero-vector items included)
+// and representative transactions whose items are conflations — TCU
+// vectors summed over 12 document items and topped up to at least 32
+// terms, so every one is ≥8× longer than any document item — mixed with a
+// twin of a document item (identical terms, another id), the document item
+// itself, an item disjoint from every document term and a zero-vector item.
+// The first docTxns transactions are the documents.
+func conflatedKernelCorpus(rng *rand.Rand) (corpus *txn.Corpus, docTxns int) {
+	paths := xmltree.NewPathTable()
+	var pids []xmltree.PathID
+	for _, tag := range []string{"a", "b", "c"} {
+		pids = append(pids, paths.Intern(xmltree.Path{"root", tag, "S"}))
+	}
+	items := txn.NewItemTable(paths)
+	const vocab = 120
+	var docItems []txn.ItemID
+	var docVecs []vector.Sparse
+	for i := 0; i < 40; i++ {
+		id := items.Intern(pids[rng.Intn(len(pids))], fmt.Sprintf("d%d", i))
+		m := map[int32]float64{}
+		for n := rng.Intn(5); len(m) < n; {
+			m[int32(rng.Intn(vocab))] = 0.25 + rng.Float64()
+		}
+		v := vector.FromMap(m)
+		if !v.IsZero() {
+			items.SetVector(id, v)
+		}
+		docItems = append(docItems, id)
+		docVecs = append(docVecs, v)
+	}
+	var longItems []txn.ItemID
+	for i := 0; i < 12; i++ {
+		perm := rng.Perm(len(docItems))[:12]
+		group := make([]txn.ItemID, len(perm))
+		vecs := make([]vector.Sparse, len(perm))
+		for g, d := range perm {
+			group[g], vecs[g] = docItems[d], docVecs[d]
+		}
+		v := vector.Sum(vecs...)
+		for v.Len() < 32 {
+			v = vector.Add(v, vector.FromMap(map[int32]float64{int32(rng.Intn(vocab)): 0.5 + rng.Float64()}))
+		}
+		longItems = append(longItems, items.InternSynthetic(pids[rng.Intn(len(pids))], fmt.Sprintf("r%d", i), v, group))
+	}
+	disjoint := items.Intern(pids[0], "disjoint")
+	items.SetVector(disjoint, vector.FromMap(map[int32]float64{vocab + 1: 1, vocab + 2: 2}))
+	zero := items.Intern(pids[1], "zero")
+
+	var trs []*txn.Transaction
+	for i := 0; i < 10; i++ {
+		pick := make([]txn.ItemID, 1+rng.Intn(6))
+		for j := range pick {
+			pick[j] = docItems[rng.Intn(len(docItems))]
+		}
+		trs = append(trs, txn.NewTransaction(pick, len(trs), 0, -1))
+	}
+	docTxns = len(trs)
+	for i := 0; i < 6; i++ {
+		pick := []txn.ItemID{disjoint, zero}[:rng.Intn(3)]
+		for n := 2 + rng.Intn(4); n > 0; n-- {
+			pick = append(pick, longItems[rng.Intn(len(longItems))])
+		}
+		d := rng.Intn(len(docItems))
+		twin := items.Intern(pids[rng.Intn(len(pids))], fmt.Sprintf("twin%d", i))
+		if !docVecs[d].IsZero() {
+			items.SetVector(twin, docVecs[d])
+		}
+		pick = append(pick, twin, docItems[d])
+		trs = append(trs, txn.NewTransaction(pick, len(trs), 0, -1))
+	}
+	return &txn.Corpus{Paths: paths, Items: items, Transactions: trs}, docTxns
+}
+
+// TestMatchCountEqualsMatchSet pins the kernel to the seed oracle on
+// randomized tie-heavy corpora and on conflated-representative corpora:
+// for every pair and every params combination MatchCount == len(MatchSet)
+// == len(SeedMatchSet), and Transactions, TransactionsAtLeast with a
+// negative threshold and TransactionsRep — through postings a RepIndex
+// built once, next to the Scratch-built postings of the bare calls — equal
+// SeedTransactions bit for bit. A SetVector on a tr2 item between two
+// calls on one Scratch must rebuild that Scratch's postings.
 func TestMatchCountEqualsMatchSet(t *testing.T) {
+	type fixture struct {
+		name   string
+		corpus *txn.Corpus
+	}
+	var fixtures []fixture
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		corpus := randomKernelCorpus(rng, 20+rng.Intn(40), 12)
+		fixtures = append(fixtures, fixture{fmt.Sprintf("random seed %d", seed), randomKernelCorpus(rng, 20+rng.Intn(40), 12)})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		corpus, _ := conflatedKernelCorpus(rand.New(rand.NewSource(seed)))
+		fixtures = append(fixtures, fixture{fmt.Sprintf("conflated seed %d", seed), corpus})
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, fx := range fixtures {
+		trs := fx.corpus.Transactions
 		for _, p := range kernelParamsGrid {
-			cx := NewContext(corpus, p)
+			cx := NewContext(fx.corpus, p)
 			sc := NewScratch()
-			for _, tr1 := range corpus.Transactions {
-				for _, tr2 := range corpus.Transactions {
+			ix := NewRepIndex()
+			ix.Build(cx, trs)
+			for _, tr1 := range trs {
+				for j, tr2 := range trs {
 					ref := SeedMatchSet(cx, tr1, tr2)
 					if got := cx.MatchCount(tr1, tr2, sc); got != len(ref) {
-						t.Fatalf("seed %d params %+v: MatchCount = %d, reference set has %d",
-							seed, p, got, len(ref))
+						t.Fatalf("%s params %+v: MatchCount = %d, reference set has %d",
+							fx.name, p, got, len(ref))
 					}
 					set := cx.MatchSet(tr1, tr2)
 					if len(set) != len(ref) {
-						t.Fatalf("seed %d params %+v: MatchSet size %d, reference %d", seed, p, len(set), len(ref))
+						t.Fatalf("%s params %+v: MatchSet size %d, reference %d", fx.name, p, len(set), len(ref))
 					}
 					for id := range ref {
 						if _, ok := set[id]; !ok {
-							t.Fatalf("seed %d params %+v: item %d missing from MatchSet", seed, p, id)
+							t.Fatalf("%s params %+v: item %d missing from MatchSet", fx.name, p, id)
 						}
 					}
 					want := SeedTransactions(cx, tr1, tr2)
-					if got := cx.Transactions(tr1, tr2, sc); got != want {
-						t.Fatalf("seed %d params %+v: Transactions = %v, reference %v", seed, p, got, want)
+					if got := cx.Transactions(tr1, tr2, sc); !same(got, want) {
+						t.Fatalf("%s params %+v: Transactions = %v, reference %v", fx.name, p, got, want)
 					}
-					if got := cx.TransactionsAtLeast(tr1, tr2, -1, sc); got != want {
-						t.Fatalf("seed %d params %+v: TransactionsAtLeast(-1) = %v, reference %v",
-							seed, p, got, want)
+					if got := cx.TransactionsAtLeast(tr1, tr2, -1, sc); !same(got, want) {
+						t.Fatalf("%s params %+v: TransactionsAtLeast(-1) = %v, reference %v",
+							fx.name, p, got, want)
+					}
+					if got := cx.TransactionsRep(tr1, ix.Postings(j), -1, sc); !same(got, want) {
+						t.Fatalf("%s params %+v: TransactionsRep with index postings = %v, reference %v",
+							fx.name, p, got, want)
 					}
 				}
 			}
 		}
+	}
+
+	// SetVector on a tr2 item between two calls on the same Scratch: a
+	// long representative item takes the vector of a document item, so the
+	// content-only pair gains a perfect match.
+	corpus, docTxns := conflatedKernelCorpus(rand.New(rand.NewSource(5)))
+	cx := NewContext(corpus, Params{F: 0, Gamma: 0.9})
+	var tr1 *txn.Transaction
+	var donor vector.Sparse
+	for _, tr := range corpus.Transactions[:docTxns] {
+		for _, id := range tr.Items {
+			if v := corpus.Items.Get(id).Vector; !v.IsZero() && tr1 == nil {
+				tr1, donor = tr, v
+			}
+		}
+	}
+	tr2 := corpus.Transactions[docTxns]
+	long := tr2.Items[0]
+	for _, id := range tr2.Items {
+		if corpus.Items.Get(id).Synthetic {
+			long = id
+			break
+		}
+	}
+	sc := NewScratch()
+	before := cx.Transactions(tr1, tr2, sc)
+	cx.Items.SetVector(long, donor)
+	warm := cx.Transactions(tr1, tr2, sc)
+	if want := SeedTransactions(cx, tr1, tr2); !same(warm, want) {
+		t.Fatalf("after SetVector on a tr2 item: warm scratch %v, reference %v (before %v)", warm, want, before)
+	}
+	if same(warm, before) {
+		t.Fatalf("fixture: SetVector did not move the pair similarity (%v)", before)
 	}
 }
 

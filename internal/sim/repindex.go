@@ -115,6 +115,10 @@ type RepIndex struct {
 	// Build-time resolution buffers, reused across Builds.
 	bTps  []xmltree.PathID
 	bVecs []vector.Sparse
+
+	// posts[j] is rep j's term postings, built on every Build (candidate
+	// pruning on or off) and read by every kernel call against rep j.
+	posts []RepPostings
 }
 
 // emptyPathTag is the synthetic tag under which empty tag paths are indexed:
@@ -159,18 +163,15 @@ func (ix *RepIndex) Reps() []*txn.Transaction { return ix.reps }
 // Build (re)builds the index over reps under cx's parameters. It is called
 // once per refinement phase — representatives change once per round while
 // documents query n times, which is the asymmetry that makes the inversion
-// pay. Build is not safe for concurrent use with queries; callers rebuild
-// between relocation passes.
+// pay. The representatives' term postings are built whether or not the
+// candidate structures are (see BuildPostings). Build is not safe for
+// concurrent use with queries; callers rebuild between relocation passes.
 func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) {
-	ix.cx, ix.reps = cx, reps
-	k := len(reps)
-	ix.k = k
-	w := words(k)
-	ix.w = w
+	ix.BuildPostings(cx, reps)
+	k, w := ix.k, ix.w
 	f, gamma := cx.Params.F, cx.Params.Gamma
 	_, exact := cx.TagSim.(semantics.Exact)
 	ix.on = gamma > 0 && exact
-	ix.active = 0
 	if !ix.on {
 		return
 	}
@@ -307,6 +308,32 @@ func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) {
 		}
 	}
 }
+
+// BuildPostings (re)builds only the representatives' term postings
+// (Postings) and leaves candidate pruning off: Enabled reports false, so
+// relocation through the index is the flat scan over every representative,
+// with each representative's postings built once instead of per document.
+func (ix *RepIndex) BuildPostings(cx *Context, reps []*txn.Transaction) {
+	ix.cx, ix.reps = cx, reps
+	k := len(reps)
+	ix.k = k
+	ix.w = words(k)
+	ix.on = false
+	ix.active = 0
+	if cap(ix.posts) < k {
+		grown := make([]RepPostings, k)
+		copy(grown, ix.posts[:cap(ix.posts)])
+		ix.posts = grown
+	}
+	ix.posts = ix.posts[:k]
+	for j, rep := range reps {
+		ix.posts[j].Build(cx, rep)
+	}
+}
+
+// Postings returns representative j's term postings for
+// Context.TransactionsRep. They are shared: callers must not Build them.
+func (ix *RepIndex) Postings(j int) *RepPostings { return &ix.posts[j] }
 
 func (ix *RepIndex) addTag(tag string, j, w int) {
 	b, ok := ix.tagReps[tag]

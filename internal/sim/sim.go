@@ -22,8 +22,10 @@
 //     produces |matchγ| without materializing a set, and
 //     TransactionsAtLeast adds exact branch-and-bound row pruning for
 //     argmax callers. MatchSet remains as a thin materializing wrapper.
-//     Eq. 1 is recomputed for every item pair: its content cosine rides
-//     vector.Dot's skew-aware walk, which is cheaper than any memo probe.
+//     Eq. 1 is recomputed for every item pair, with no memo: the content
+//     cosines of a whole tr1 row come from one pass over the row item's
+//     terms against tr2's term postings (vector.Postings), which a
+//     representative set builds once (RepPostings, RepIndex).
 //  3. The columnar layout (txn.Columnar) — builder-built corpora carry a
 //     struct-of-arrays arena of item ids and tag-path ids with each
 //     transaction as a [start,end) span, so the kernel's n1×n2 pass scans
@@ -60,7 +62,11 @@ type Params struct {
 // Counters tracks how much similarity work was performed; used by the
 // complexity experiments. All fields are updated atomically.
 type Counters struct {
-	ItemSims    atomic.Int64 // calls to Item (Eq. 1)
+	// ItemSims counts the item pairs whose Eq. 1 value was decided: one per
+	// Item call, and n2 per tr1 row the match kernel processes (a row is
+	// decided as a whole from tr2's postings; rows pruned by
+	// TransactionsAtLeast are not counted).
+	ItemSims    atomic.Int64
 	PathSims    atomic.Int64 // structural path alignments actually computed
 	TxnSims     atomic.Int64 // calls to Transactions/TransactionsAtLeast (Eq. 4)
 	CacheHits   atomic.Int64 // path-pair cache hits

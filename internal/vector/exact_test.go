@@ -101,6 +101,18 @@ func TestDotSkewMatchesMerge(t *testing.T) {
 		}
 		checkDot(t, FromMap(map[int32]float64{3: 1, 5: 1}), FromMap(even)) // disjoint, skewed
 		checkDot(t, FromMap(even), FromMap(odd))                           // disjoint, balanced
+		// Postings rows: disjoint, identical and empty vectors, plus norms
+		// that are zero (all-zero weights), underflow in the product
+		// (1e-200) or overflow (1e200): the rows where skipping the
+		// division of a no-shared-term pair would not reproduce Cosine.
+		zeroW := FromEntries([]Entry{{Term: 2, Weight: 0}, {Term: 4, Weight: 0}})
+		tiny := FromEntries([]Entry{{Term: 2, Weight: 1e-200}, {Term: 9, Weight: 1e-200}})
+		huge := FromEntries([]Entry{{Term: 4, Weight: 1e200}, {Term: 6, Weight: 1e200}})
+		row := []Sparse{FromMap(even), FromMap(odd), v, {}, zeroW, tiny, huge}
+		for _, a := range append(row, FromMap(map[int32]float64{3: 1, 5: 1}), FromMap(map[int32]float64{-1: 2})) {
+			checkPostings(t, a, row)
+			checkPostings(t, a, row[:3])
+		}
 	})
 	t.Run("random", func(t *testing.T) {
 		for i := 0; i < 5000; i++ {
@@ -112,29 +124,68 @@ func TestDotSkewMatchesMerge(t *testing.T) {
 				long = 0
 			}
 			universe := 1 + rng.Intn(4*(long+short)+1)
-			checkDot(t, sparseOf(rng, short, universe), sparseOf(rng, long, universe))
+			a, b := sparseOf(rng, short, universe), sparseOf(rng, long, universe)
+			checkDot(t, a, b)
+			checkPostings(t, a, []Sparse{b, sparseOf(rng, long, universe), a, {}})
 		}
 	})
 }
 
+// checkPostings pins the postings row of Eq. 1 to Dot and Cosine bit for
+// bit: a's row dot against every b_j, and the row cosines.
+func checkPostings(t *testing.T, a Sparse, row []Sparse) {
+	t.Helper()
+	var p Postings
+	p.Build(row)
+	dot := make([]float64, len(row))
+	p.addDots(a, dot)
+	cos := make([]float64, len(row))
+	p.Cosines(a, cos)
+	for j, b := range row {
+		if got, want := dot[j], Dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("postings dot a·b_%d = %v (%#x), Dot = %v (%#x)\na=%v\nb=%v",
+				j, got, math.Float64bits(got), want, math.Float64bits(want), a, b)
+		}
+		if got, want := cos[j], Cosine(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("postings cosine(a, b_%d) = %v (%#x), Cosine = %v (%#x)\na=%v\nb=%v",
+				j, got, math.Float64bits(got), want, math.Float64bits(want), a, b)
+		}
+	}
+}
+
 // FuzzDot checks the dispatching Dot against the merge walk on vectors
 // decoded from arbitrary bytes: each byte pair becomes one term/weight of
-// a (the first la pairs) or b.
+// a (the first la pairs) or of b. The pairs after a are also dealt round-
+// robin into 1 + la%3 vectors that, with b, a itself and the empty vector,
+// form a postings row: a's row dots and cosines must equal Dot and Cosine
+// against every vector of the row.
 func FuzzDot(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(1), []byte{5, 3, 1, 1, 2, 2, 5, 7, 9, 1, 12, 3, 40, 2, 41, 9, 90, 4, 120, 3})
 	f.Add(uint8(3), []byte{1, 1, 2, 2, 3, 3, 1, 1, 2, 2, 3, 3})
+	f.Add(uint8(2), []byte{7, 14, 9, 200, 7, 3, 9, 5, 11, 7, 13, 1, 250, 9})
 	f.Fuzz(func(t *testing.T, la uint8, data []byte) {
 		ma, mb := map[int32]float64{}, map[int32]float64{}
+		split := make([]map[int32]float64, 1+int(la)%3)
+		for j := range split {
+			split[j] = map[int32]float64{}
+		}
 		for i := 0; i+1 < len(data); i += 2 {
 			term, w := int32(data[i]), float64(int8(data[i+1]))/7
 			if i/2 < int(la) {
 				ma[term] = w
 			} else {
 				mb[term] = w
+				split[(i/2)%len(split)][term] = w
 			}
 		}
-		checkDot(t, FromMap(ma), FromMap(mb))
+		a, b := FromMap(ma), FromMap(mb)
+		checkDot(t, a, b)
+		row := []Sparse{b, a, {}}
+		for _, m := range split {
+			row = append(row, FromMap(m))
+		}
+		checkPostings(t, a, row)
 	})
 }
 

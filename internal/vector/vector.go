@@ -171,8 +171,15 @@ func Cosine(a, b Sparse) float64 {
 	if a.IsZero() || b.IsZero() {
 		return 0
 	}
-	c := Dot(a, b) / (a.norm * b.norm)
-	// Clamp rounding noise so downstream threshold comparisons are exact.
+	return CosineOf(Dot(a, b), a.norm, b.norm)
+}
+
+// CosineOf is the cosine formed from an inner product and the two norms:
+// dot/(na*nb), clamped to [0,1] so rounding noise never crosses a
+// downstream threshold comparison. Cosine and Postings.Cosines both form
+// their values here.
+func CosineOf(dot, na, nb float64) float64 {
+	c := dot / (na * nb)
 	if c > 1 {
 		c = 1
 	} else if c < 0 {

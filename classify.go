@@ -29,16 +29,20 @@ type ClassifyOptions struct {
 	MaxTuplesPerTree int
 	// IndexReps selects the inverted representative index for the scan
 	// (default RepIndexAuto = on; the assignment is byte-identical in every
-	// mode). Either mode reads the representatives' term postings from an
-	// index; without a prebuilt Index one is built per call (candidate
-	// lists only when the mode is on).
+	// mode). Every mode reads the representatives' term postings from an
+	// index: without a matching Index, each call builds one (candidate
+	// structures only when the mode is on) and the postings of every
+	// representative it evaluates, which for one short transaction costs
+	// more than its scan. Pass a prebuilt Index when classifying one
+	// document at a time.
 	IndexReps RepIndexMode
 	// Index, when non-nil, is a prebuilt representative index from
 	// Engine.BuildRepIndex. It is used only when it matches this call — same
 	// engine, same (F, Gamma) and the identical representative slice
 	// contents — otherwise the call behaves as if Index were nil. A serving
 	// layer that classifies many documents against a frozen representative
-	// set should build once and reuse.
+	// set should build once and reuse. An Index built with RepIndexOff
+	// serves every call with the flat scan.
 	Index *RepIndex
 }
 
@@ -79,17 +83,19 @@ func (ri *RepIndex) Reps() int {
 	return ri.ix.Active()
 }
 
-// BuildRepIndex builds an inverted representative index over reps for the
-// given similarity knobs, sharing the engine's warm caches. The returned
+// BuildRepIndex builds a representative index over reps for the given
+// similarity knobs, sharing the engine's warm caches. Every mode holds the
+// representatives' term postings, which every scan reads; the inverted
+// candidate structures are built unless mode is RepIndexOff. The returned
 // index matches ClassifyTransactions calls with the same (F, Gamma) and the
 // identical representative slice contents.
-func (e *Engine) BuildRepIndex(reps []*Transaction, f, gamma float64) (*RepIndex, error) {
+func (e *Engine) BuildRepIndex(reps []*Transaction, f, gamma float64, mode RepIndexMode) (*RepIndex, error) {
 	if err := validateKFGamma(1, f, gamma); err != nil {
 		return nil, err
 	}
 	cx := e.simContext(sim.Params{F: f, Gamma: gamma})
 	ix := sim.NewRepIndex()
-	ix.Build(cx, reps)
+	ix.BuildMode(cx, reps, mode.enabled())
 	return &RepIndex{ix: ix, cx: cx, reps: reps}, nil
 }
 
@@ -157,15 +163,11 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 	// postings from it, so they are built once, not once per transaction.
 	indexed := opts.IndexReps.enabled()
 	var ix *sim.RepIndex
-	switch {
-	case opts.Index.matches(cx, reps):
+	if opts.Index.matches(cx, reps) {
 		ix = opts.Index.ix
-	case indexed:
+	} else {
 		ix = sim.NewRepIndex()
-		ix.Build(cx, reps)
-	default:
-		ix = sim.NewRepIndex()
-		ix.BuildPostings(cx, reps)
+		ix.BuildMode(cx, reps, indexed)
 	}
 
 	assign := make([]int, len(trs))

@@ -564,7 +564,7 @@ func TestRelocateOneMatchesRelocate(t *testing.T) {
 	batch := Relocate(cx, corpus.Transactions, reps)
 	sc := sim.NewScratch()
 	ix := sim.NewRepIndex()
-	ix.BuildPostings(cx, reps)
+	ix.BuildMode(cx, reps, false)
 	for i, tr := range corpus.Transactions {
 		gotJ, gotSim := RelocateOne(cx, tr, reps, nil, sc)
 		if gotJ != batch[i] {

@@ -251,7 +251,7 @@ func (d *DeltaState) Relocate(ctx context.Context, cx *sim.Context, s []*txn.Tra
 	nw := parallel.WorkerCount(workers, len(s))
 	scratches := make([]*sim.Scratch, nw)
 	var queries []*sim.RepQuery
-	indexed := ix != nil && ix.Enabled()
+	indexed := ix.Enabled()
 	if indexed {
 		queries = make([]*sim.RepQuery, nw)
 	}
@@ -296,7 +296,7 @@ func (d *DeltaState) fullPass(ctx context.Context, cx *sim.Context, s []*txn.Tra
 	nw := parallel.WorkerCount(workers, len(s))
 	scratches := make([]*sim.Scratch, nw)
 	var queries []*sim.RepQuery
-	if ix != nil && ix.Enabled() {
+	if ix.Enabled() {
 		queries = make([]*sim.RepQuery, nw)
 	}
 	return parallel.ForCtxWorkers(ctx, workers, len(s), func(w, i int) {
@@ -350,7 +350,7 @@ func (d *DeltaState) relocateOneDelta(cx *sim.Context, tr *txn.Transaction, reps
 	}
 	best, bestJ := best0, bestJ0
 	evaluated := 0
-	if ix != nil && ix.Enabled() {
+	if ix.Enabled() {
 		n := ix.Candidates(tr, rq)
 		for c := 0; c < n; c++ {
 			j, ub := rq.Candidate(c)
@@ -376,7 +376,7 @@ func (d *DeltaState) relocateOneDelta(cx *sim.Context, tr *txn.Transaction, reps
 		if !d.changed[j] || rep == nil || rep.Len() == 0 {
 			continue
 		}
-		v := repSim(cx, tr, reps, j, ix, math.Nextafter(best, math.Inf(-1)), sc)
+		v := cx.TransactionsRep(tr, ix.Postings(j), math.Nextafter(best, math.Inf(-1)), sc)
 		evaluated++
 		if v > best {
 			best, bestJ = v, j

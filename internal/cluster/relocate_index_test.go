@@ -59,7 +59,10 @@ var indexParamsGrid = []sim.Params{
 // byte-identical to the flat scan — assignment AND winning similarity —
 // per document, across the regime grid, on both the structured two-topic
 // fixture and a randomized tie-heavy corpus, against raw initial and
-// refined synthetic representatives, for workers ∈ {1, 4}.
+// refined synthetic representatives, for workers ∈ {1, 4}. The parallel
+// runs also go through postings-only indexes (pruning off), and each run
+// gets a fresh index, so its workers race to build the postings on first
+// use.
 func TestRelocateIndexEquivalence(t *testing.T) {
 	corpora := map[string]*txn.Corpus{
 		"twoTopic": twoTopicDocs(t, 10),
@@ -87,14 +90,18 @@ func TestRelocateIndexEquivalence(t *testing.T) {
 				}
 				want := RelocateWorkers(cx, s, reps, 1)
 				for _, workers := range []int{1, 4} {
-					got, err := RelocateCtxIndexed(nil, cx, s, reps, workers, ix)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s params %+v reps#%d workers %d: indexed assignment diverges at %d: %d != %d",
-								name, p, ri, workers, i, got[i], want[i])
+					for _, prune := range []bool{true, false} {
+						fresh := sim.NewRepIndex()
+						fresh.BuildMode(cx, reps, prune)
+						got, err := RelocateCtxIndexed(nil, cx, s, reps, workers, fresh)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s params %+v reps#%d workers %d prune %v: indexed assignment diverges at %d: %d != %d",
+									name, p, ri, workers, prune, i, got[i], want[i])
+							}
 						}
 					}
 				}
@@ -176,7 +183,8 @@ func TestXKMeansIndexEquivalence(t *testing.T) {
 // the indexed assignment path: with a warm scratch, query state and index,
 // relocating one document through the index performs zero heap allocations.
 // A companion check pins the per-round index rebuild to zero steady-state
-// allocations too (all slabs and maps are reused).
+// allocations too (all slabs and maps are reused), counting the
+// representatives' term postings, which the index builds on first use.
 func TestRelocateOneIndexedZeroAllocWarm(t *testing.T) {
 	corpus := twoTopicDocs(t, 12)
 	s := corpus.Transactions
@@ -200,6 +208,9 @@ func TestRelocateOneIndexedZeroAllocWarm(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, func() {
 		ix.Build(cx, reps)
+		for j := range reps {
+			ix.Postings(j)
+		}
 	}); avg != 0 {
 		t.Errorf("warm index rebuild allocates %.2f/op, want 0", avg)
 	}

@@ -74,7 +74,7 @@ func TestSSEWorkersEquivalence(t *testing.T) {
 	cl := XKMeans(cx, s, Config{K: 3, MaxIter: 4, Seed: 5, Workers: 1})
 	want := SSE(cx, s, cl.Assign, cl.Reps)
 	for _, workers := range []int{2, 4, 8} {
-		if got := SSEWorkers(cx, s, cl.Assign, cl.Reps, workers); got != want {
+		if got := SSEWorkers(cx, s, cl.Assign, cl.Reps, workers, nil); got != want {
 			t.Fatalf("SSEWorkers(%d) = %v, serial %v", workers, got, want)
 		}
 	}

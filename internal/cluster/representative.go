@@ -26,7 +26,6 @@ package cluster
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"xmlclust/internal/parallel"
 	"xmlclust/internal/sim"
@@ -234,11 +233,6 @@ func sortRanked(r []rankedItem) {
 	})
 }
 
-// repPostingsPool recycles generateTreeTuple's candidate postings across
-// calls: every refinement step rebuilds them, and the slabs one call grew
-// fit the next, so a round does not reallocate them per cluster.
-var repPostingsPool = sync.Pool{New: func() any { return new(sim.RepPostings) }}
-
 // generateTreeTuple implements GenerateTreeTuple of Fig. 6. ranked must be
 // sorted by descending rank. c supplies |trmax| and the refinement
 // objective Σ_{tr∈C} simγJ(tr, rep′).
@@ -254,8 +248,7 @@ func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction)
 	// schedule). The candidate's term postings are built once per
 	// evaluation and shared read-only by the workers.
 	scratches := make([]*sim.Scratch, parallel.WorkerCount(cfg.Workers, len(c)))
-	rp := repPostingsPool.Get().(*sim.RepPostings)
-	defer repPostingsPool.Put(rp)
+	var rp sim.RepPostings
 	objective := func(rep *txn.Transaction) float64 {
 		rp.Build(cx, rep)
 		return parallel.SumWorkers(cfg.Workers, len(c), func(w, i int) float64 {
@@ -264,7 +257,7 @@ func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction)
 				sc = sim.NewScratch()
 				scratches[w] = sc
 			}
-			return cx.TransactionsRep(c[i], rp, -1, sc)
+			return cx.TransactionsRep(c[i], &rp, -1, sc)
 		})
 	}
 	// Batch size: rank ties always travel together; under

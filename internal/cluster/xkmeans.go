@@ -167,7 +167,7 @@ func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transacti
 	nw := parallel.WorkerCount(workers, len(s))
 	scratches := make([]*sim.Scratch, nw)
 	var queries []*sim.RepQuery
-	if ix != nil && ix.Enabled() {
+	if ix.Enabled() {
 		queries = make([]*sim.RepQuery, nw)
 	}
 	err := parallel.ForCtxWorkers(ctx, workers, len(s), func(w, i int) {
@@ -200,17 +200,8 @@ func postingsFor(cx *sim.Context, reps []*txn.Transaction, ix *sim.RepIndex) *si
 		return ix
 	}
 	ix = sim.NewRepIndex()
-	ix.BuildPostings(cx, reps)
+	ix.BuildMode(cx, reps, false)
 	return ix
-}
-
-// repSim is TransactionsAtLeast(tr, reps[j], threshold, sc), reading rep
-// j's postings from ix when there is one.
-func repSim(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, j int, ix *sim.RepIndex, threshold float64, sc *sim.Scratch) float64 {
-	if ix != nil {
-		return cx.TransactionsRep(tr, ix.Postings(j), threshold, sc)
-	}
-	return cx.TransactionsAtLeast(tr, reps[j], threshold, sc)
 }
 
 // RelocateOne relocates a single transaction against a fixed representative
@@ -221,10 +212,12 @@ func repSim(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, j int
 // incremental serving layer, so online assignments match what a batch
 // relocation would produce for the same representatives by construction.
 // The scan threads its running best through the branch-and-bound kernel
-// over every representative, whether or not ix could prune candidates: ix
-// (built over reps; may be nil) only supplies the representatives' term
-// postings. sc may be nil (a scratch is then allocated per call).
+// over every representative, whether or not ix could prune candidates: ix,
+// built over reps, only supplies the representatives' term postings. A nil
+// ix builds them for this call alone, so scans pass one index for all
+// their documents. sc may be nil (a scratch is then allocated per call).
 func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, sc *sim.Scratch) (int, float64) {
+	ix = postingsFor(cx, reps, ix)
 	if sc == nil {
 		sc = sim.NewScratch()
 	}
@@ -233,7 +226,7 @@ func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, 
 		if rep == nil || rep.Len() == 0 {
 			continue
 		}
-		v := repSim(cx, tr, reps, j, ix, best, sc)
+		v := cx.TransactionsRep(tr, ix.Postings(j), best, sc)
 		if v > best {
 			best, bestJ = v, j
 		}
@@ -324,11 +317,7 @@ func XKMeans(cx *sim.Context, s []*txn.Transaction, cfg Config) *Clustering {
 	}
 	for iter := 0; iter < maxIter; iter++ {
 		cl.Iterations = iter + 1
-		if cfg.IndexReps {
-			ix.Build(cx, reps)
-		} else {
-			ix.BuildPostings(cx, reps)
-		}
+		ix.BuildMode(cx, reps, cfg.IndexReps)
 		var assign []int
 		if ds != nil {
 			assign, _ = ds.Relocate(nil, cx, s, reps, cfg.Workers, ix)
@@ -411,15 +400,17 @@ func repsEqual(a, b []*txn.Transaction) bool {
 // similarity: Σ over non-trash transactions of (1 − simγJ(tr, rep_assigned)).
 // Used by the PK-means baseline's global stopping rule.
 func SSE(cx *sim.Context, s []*txn.Transaction, assign []int, reps []*txn.Transaction) float64 {
-	return SSEWorkers(cx, s, assign, reps, 1)
+	return SSEWorkers(cx, s, assign, reps, 1, nil)
 }
 
 // SSEWorkers is SSE spread over a worker pool, each worker reusing one
 // similarity Scratch so the objective allocates nothing per pair. Terms are
 // reduced in index order (parallel.SumWorkers), so the float result is
-// byte-identical to the serial SSE for any worker count.
-func SSEWorkers(cx *sim.Context, s []*txn.Transaction, assign []int, reps []*txn.Transaction, workers int) float64 {
-	ix := postingsFor(cx, reps, nil)
+// byte-identical to the serial SSE for any worker count. ix, when non-nil,
+// is an index built over reps whose term postings the objective reads
+// (a relocation phase's index); nil builds them for this call.
+func SSEWorkers(cx *sim.Context, s []*txn.Transaction, assign []int, reps []*txn.Transaction, workers int, ix *sim.RepIndex) float64 {
+	ix = postingsFor(cx, reps, ix)
 	scratches := make([]*sim.Scratch, parallel.WorkerCount(workers, len(assign)))
 	return parallel.SumWorkers(workers, len(assign), func(w, i int) float64 {
 		a := assign[i]

@@ -485,11 +485,7 @@ func (s *session) relocate(ctx context.Context) error {
 		if s.repIndex == nil {
 			s.repIndex = sim.NewRepIndex()
 		}
-		if cfg.IndexReps {
-			s.repIndex.Build(cfg.Ctx, s.global)
-		} else {
-			s.repIndex.BuildPostings(cfg.Ctx, s.global)
-		}
+		s.repIndex.BuildMode(cfg.Ctx, s.global, cfg.IndexReps)
 		ix := s.repIndex
 		for {
 			var assign []int
@@ -542,7 +538,7 @@ func (s *session) relocate(ctx context.Context) error {
 		// Outside the compute section on purpose: the per-round objective
 		// is instrumentation and must not inflate ComputeByRound (and with
 		// it the paper's SimulatedTime metric).
-		s.objective = cluster.SSEWorkers(cfg.Ctx, cfg.Local, s.assign, s.global, cfg.Workers)
+		s.objective = cluster.SSEWorkers(cfg.Ctx, cfg.Local, s.assign, s.global, cfg.Workers, s.repIndex)
 	}
 	s.changed = !repSliceEqual(s.newLocalRp, s.localRp)
 	copy(s.localRp, s.newLocalRp)

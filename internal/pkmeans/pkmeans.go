@@ -335,11 +335,7 @@ func (p *peer) run(ctx context.Context) error {
 			if p.repIndex == nil {
 				p.repIndex = sim.NewRepIndex()
 			}
-			if p.indexReps {
-				p.repIndex.Build(p.cx, p.global)
-			} else {
-				p.repIndex.BuildPostings(p.cx, p.global)
-			}
+			p.repIndex.BuildMode(p.cx, p.global, p.indexReps)
 			ix := p.repIndex
 			if p.deltaRounds && p.delta == nil {
 				p.delta = cluster.NewDeltaState(p.k)
@@ -374,7 +370,7 @@ func (p *peer) run(ctx context.Context) error {
 					localReps[j] = core.WeightedWireRep{Rep: wireOf(rep), Weight: len(members[j])}
 				}
 			}
-			localSSE = cluster.SSEWorkers(p.cx, p.local, p.assign, p.global, p.workers)
+			localSSE = cluster.SSEWorkers(p.cx, p.local, p.assign, p.global, p.workers, ix)
 		})
 
 		// All-to-all exchange: every peer ships all k local reps + SSE.

@@ -201,9 +201,10 @@ type snapshot struct {
 	ranges   map[int][2]int
 	liveTxns int
 	// idx is the prebuilt representative index over reps (nil before the
-	// first refresh; built with IndexReps off too, for its postings). Items
-	// interned after the build are handled soundly, so the index stays
-	// valid until reps change — i.e. until the snapshot itself is replaced.
+	// first refresh; with IndexReps off it holds only the term postings).
+	// Items interned after the build are handled soundly, so the index
+	// stays valid until reps change — i.e. until the snapshot itself is
+	// replaced.
 	idx *xmlclust.RepIndex
 }
 
@@ -455,12 +456,10 @@ func (s *Service) Stats() Stats {
 		Drift:     s.driftLocked(),
 		Refreshes: s.refreshes, MaintenanceRounds: s.rounds, Reassigned: s.reassigned,
 		PrunedRows: s.pruned, ScratchReuses: s.reuses,
+		IndexEntries: s.snap.idx.Entries(), IndexedReps: s.snap.idx.Reps(),
 		IndexCandidates: s.idxCand, IndexSkipped: s.idxSkip,
 		RepsReused: s.repsReused, DocsSkipped: s.docsSkip, DeltaRepBytes: s.deltaBytes,
 		ClusterSizes: make([]int, s.cfg.K),
-	}
-	if s.cfg.IndexReps != xmlclust.RepIndexOff {
-		st.IndexEntries, st.IndexedReps = s.snap.idx.Entries(), s.snap.idx.Reps()
 	}
 	for id, rec := range s.docs {
 		if rec.removed {
@@ -636,7 +635,7 @@ func (s *Service) refreshLocked(ctx context.Context) (int, error) {
 	// IndexReps off the flat scans still read its term postings.
 	var idx *xmlclust.RepIndex
 	if len(reps) > 0 {
-		idx, err = eng.BuildRepIndex(reps, s.cfg.F, s.cfg.Gamma)
+		idx, err = eng.BuildRepIndex(reps, s.cfg.F, s.cfg.Gamma, s.cfg.IndexReps)
 		if err != nil {
 			return 0, err
 		}

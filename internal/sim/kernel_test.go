@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xmlclust/internal/txn"
@@ -150,8 +151,9 @@ func conflatedKernelCorpus(rng *rand.Rand) (corpus *txn.Corpus, docTxns int) {
 // == len(SeedMatchSet), and Transactions, TransactionsAtLeast with a
 // negative threshold and TransactionsRep — through postings a RepIndex
 // built once, next to the Scratch-built postings of the bare calls — equal
-// SeedTransactions bit for bit. A SetVector on a tr2 item between two
-// calls on one Scratch must rebuild that Scratch's postings.
+// SeedTransactions bit for bit, also after the index is rebuilt over
+// another representative set. A SetVector on a tr2 item between two calls
+// on one Scratch must rebuild that Scratch's postings.
 func TestMatchCountEqualsMatchSet(t *testing.T) {
 	type fixture struct {
 		name   string
@@ -202,6 +204,18 @@ func TestMatchCountEqualsMatchSet(t *testing.T) {
 						t.Fatalf("%s params %+v: TransactionsRep with index postings = %v, reference %v",
 							fx.name, p, got, want)
 					}
+				}
+			}
+			// A rebuild over another representative set must not serve the
+			// previous build's postings.
+			rev := slices.Clone(trs)
+			slices.Reverse(rev)
+			ix.BuildMode(cx, rev, false)
+			for j, tr2 := range rev {
+				want := SeedTransactions(cx, trs[0], tr2)
+				if got := cx.TransactionsRep(trs[0], ix.Postings(j), -1, sc); !same(got, want) {
+					t.Fatalf("%s params %+v: TransactionsRep after rebuild = %v, reference %v",
+						fx.name, p, got, want)
 				}
 			}
 		}

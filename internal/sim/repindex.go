@@ -3,6 +3,8 @@ package sim
 import (
 	"math/bits"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"xmlclust/internal/semantics"
 	"xmlclust/internal/txn"
@@ -116,9 +118,14 @@ type RepIndex struct {
 	bTps  []xmltree.PathID
 	bVecs []vector.Sparse
 
-	// posts[j] is rep j's term postings, built on every Build (candidate
-	// pruning on or off) and read by every kernel call against rep j.
-	posts []RepPostings
+	// posts[j] is rep j's term postings, built by the first Postings(j)
+	// after each BuildMode (candidate pruning on or off), so a rep that
+	// every document prunes away never pays for them, and read by every
+	// later kernel call against rep j. ready[j] publishes a finished build;
+	// postMu serializes the builds.
+	posts  []RepPostings
+	ready  []atomic.Bool
+	postMu sync.Mutex
 }
 
 // emptyPathTag is the synthetic tag under which empty tag paths are indexed:
@@ -160,18 +167,40 @@ func (ix *RepIndex) Context() *Context { return ix.cx }
 // is the caller's; the index never mutates it.
 func (ix *RepIndex) Reps() []*txn.Transaction { return ix.reps }
 
-// Build (re)builds the index over reps under cx's parameters. It is called
-// once per refinement phase — representatives change once per round while
-// documents query n times, which is the asymmetry that makes the inversion
-// pay. The representatives' term postings are built whether or not the
-// candidate structures are (see BuildPostings). Build is not safe for
-// concurrent use with queries; callers rebuild between relocation passes.
-func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) {
-	ix.BuildPostings(cx, reps)
-	k, w := ix.k, ix.w
+// Build is BuildMode(cx, reps, true): the term postings and the candidate
+// structures.
+func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) { ix.BuildMode(cx, reps, true) }
+
+// BuildMode (re)builds the index over reps under cx's parameters. It is
+// called once per refinement phase — representatives change once per round
+// while documents query n times, which is the asymmetry that makes the
+// inversion pay. Each representative's term postings are built once per
+// BuildMode, on first use (Postings), so no scan through the index rebuilds
+// them per document; the candidate structures are built only when prune is
+// set. Without them
+// Enabled reports false and relocation through the index is the flat scan
+// over every representative. BuildMode is not safe for concurrent use with
+// queries; callers rebuild between relocation passes.
+func (ix *RepIndex) BuildMode(cx *Context, reps []*txn.Transaction, prune bool) {
+	ix.cx, ix.reps = cx, reps
+	k := len(reps)
+	ix.k = k
+	w := words(k)
+	ix.w = w
+	ix.active = 0
+	if cap(ix.posts) < k {
+		grown := make([]RepPostings, k)
+		copy(grown, ix.posts[:cap(ix.posts)])
+		ix.posts = grown
+		ix.ready = make([]atomic.Bool, k)
+	}
+	ix.posts, ix.ready = ix.posts[:k], ix.ready[:k]
+	for j := range ix.ready {
+		ix.ready[j].Store(false)
+	}
 	f, gamma := cx.Params.F, cx.Params.Gamma
 	_, exact := cx.TagSim.(semantics.Exact)
-	ix.on = gamma > 0 && exact
+	ix.on = prune && gamma > 0 && exact
 	if !ix.on {
 		return
 	}
@@ -309,31 +338,22 @@ func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) {
 	}
 }
 
-// BuildPostings (re)builds only the representatives' term postings
-// (Postings) and leaves candidate pruning off: Enabled reports false, so
-// relocation through the index is the flat scan over every representative,
-// with each representative's postings built once instead of per document.
-func (ix *RepIndex) BuildPostings(cx *Context, reps []*txn.Transaction) {
-	ix.cx, ix.reps = cx, reps
-	k := len(reps)
-	ix.k = k
-	ix.w = words(k)
-	ix.on = false
-	ix.active = 0
-	if cap(ix.posts) < k {
-		grown := make([]RepPostings, k)
-		copy(grown, ix.posts[:cap(ix.posts)])
-		ix.posts = grown
-	}
-	ix.posts = ix.posts[:k]
-	for j, rep := range reps {
-		ix.posts[j].Build(cx, rep)
-	}
-}
-
 // Postings returns representative j's term postings for
-// Context.TransactionsRep. They are shared: callers must not Build them.
-func (ix *RepIndex) Postings(j int) *RepPostings { return &ix.posts[j] }
+// Context.TransactionsRep, building them on the first call after BuildMode.
+// It is safe for concurrent use by the scans of one build. The postings are
+// shared: callers must not Build them.
+func (ix *RepIndex) Postings(j int) *RepPostings {
+	p := &ix.posts[j]
+	if !ix.ready[j].Load() {
+		ix.postMu.Lock()
+		if !ix.ready[j].Load() {
+			p.Build(ix.cx, ix.reps[j])
+			ix.ready[j].Store(true)
+		}
+		ix.postMu.Unlock()
+	}
+	return p
+}
 
 func (ix *RepIndex) addTag(tag string, j, w int) {
 	b, ok := ix.tagReps[tag]

@@ -47,7 +47,7 @@ func (p *Postings) Build(vs []Sparse) {
 	p.norms = resize(p.norms, n)
 	p.empty = resize(p.empty, n)
 	p.cur = resize(p.cur, n)
-	p.heap = p.heap[:0]
+	p.heap = resize(p.heap, n)[:0]
 	p.minNorm = math.Inf(1)
 	total := 0
 	for j, v := range vs {
@@ -63,8 +63,9 @@ func (p *Postings) Build(vs []Sparse) {
 		}
 		p.heap = append(p.heap, mergeKey(v.entries[0].Term, j))
 	}
-	p.terms = p.terms[:0]
-	p.off = append(p.off[:0], 0)
+	// At most total distinct terms: size terms and off once, not by append.
+	p.terms = resize(p.terms, total)[:0]
+	p.off = append(resize(p.off, total+1)[:0], 0)
 	p.pos = resize(p.pos, total)
 	p.w = resize(p.w, total)
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"xmlclust/internal/cluster"
-	"xmlclust/internal/parallel"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/tuple"
 	"xmlclust/internal/txn"
@@ -41,8 +40,9 @@ type ClassifyOptions struct {
 	// engine, same (F, Gamma) and the identical representative slice
 	// contents — otherwise the call behaves as if Index were nil. A serving
 	// layer that classifies many documents against a frozen representative
-	// set should build once and reuse. An Index built with RepIndexOff
-	// serves every call with the flat scan.
+	// set should build once and reuse. A matching Index's own mode decides
+	// the scan: one built with RepIndexOff serves every call with the flat
+	// scan, one built with candidate pruning prunes whatever IndexReps says.
 	Index *RepIndex
 }
 
@@ -161,40 +161,16 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 	// A matching prebuilt index wins; otherwise build one for this call.
 	// The flat scan (IndexReps off) still reads the representatives' term
 	// postings from it, so they are built once, not once per transaction.
-	indexed := opts.IndexReps.enabled()
 	var ix *sim.RepIndex
 	if opts.Index.matches(cx, reps) {
 		ix = opts.Index.ix
 	} else {
 		ix = sim.NewRepIndex()
-		ix.BuildMode(cx, reps, indexed)
+		ix.BuildMode(cx, reps, opts.IndexReps.enabled())
 	}
 
-	assign := make([]int, len(trs))
 	sims := make([]float64, len(trs))
-	nw := parallel.WorkerCount(opts.Workers, len(trs))
-	scratches := make([]*sim.Scratch, nw)
-	var queries []*sim.RepQuery
-	if indexed && ix.Enabled() {
-		queries = make([]*sim.RepQuery, nw)
-	}
-	err := parallel.ForCtxWorkers(ctx, opts.Workers, len(trs), func(w, i int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = sim.NewScratch()
-			scratches[w] = sc
-		}
-		if queries == nil {
-			assign[i], sims[i] = cluster.RelocateOne(cx, trs[i], reps, ix, sc)
-			return
-		}
-		rq := queries[w]
-		if rq == nil {
-			rq = sim.NewRepQuery()
-			queries[w] = rq
-		}
-		assign[i], sims[i] = cluster.RelocateOneIndexed(cx, trs[i], reps, ix, rq, sc)
-	})
+	assign, err := cluster.RelocateCtxIndexed(ctx, cx, trs, reps, opts.Workers, ix, sims)
 	if err != nil {
 		return nil, fmt.Errorf("xmlclust: classify: %w: %w", ErrCanceled, err)
 	}

@@ -20,9 +20,10 @@
 // bench-regression smoke and the input of the bench trajectory.
 //
 // The rounds experiment benchmarks the cross-round delta engine (memoized
-// representatives, anchored relocation, digest-marker exchange) against
-// full per-round recomputation, gates on byte-identical output plus the
-// final round's document-skip fraction, and writes BENCH_rounds.json.
+// representatives, digest-marker exchange) against full per-round
+// recomputation, gates on byte-identical output plus the late rounds'
+// share of representative computations served by the memo, and writes
+// BENCH_rounds.json.
 package main
 
 import (

@@ -91,7 +91,13 @@ func runRelocate(ds string, scale experiments.Scale, workers int, jsonPath strin
 
 		// Byte-identity pre-gate: the two paths must agree assignment for
 		// assignment before either is worth timing.
-		flatAssign := cluster.RelocateWorkers(cx, trs, reps, workers)
+		// The flat scan reads its postings from a postings-only index.
+		flatIx := sim.NewRepIndex()
+		flatIx.BuildMode(cx, reps, false)
+		flatAssign, err := cluster.RelocateCtxIndexed(nil, cx, trs, reps, workers, flatIx)
+		if err != nil {
+			return err
+		}
 		ix := sim.NewRepIndex()
 		ix.Build(cx, reps)
 		idxAssign, err := cluster.RelocateCtxIndexed(nil, cx, trs, reps, workers, ix)
@@ -118,7 +124,10 @@ func runRelocate(ds string, scale experiments.Scale, workers int, jsonPath strin
 
 		flat := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cluster.RelocateWorkers(cx, trs, reps, workers)
+				flatIx.BuildMode(cx, reps, false) // postings rebuilt per pass, like the indexed leg
+				if _, err := cluster.RelocateCtxIndexed(nil, cx, trs, reps, workers, flatIx); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 		indexed := testing.Benchmark(func(b *testing.B) {

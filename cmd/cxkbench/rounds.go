@@ -14,23 +14,20 @@ import (
 )
 
 // roundsPoint is one collaborative round of the delta-on trajectory run:
-// the per-round differences of the run-wide delta counters, showing the
-// cross-round caches warming as the clustering converges.
+// the per-round difference of the run-wide RepsReused counter, showing the
+// representative memo warming as the clustering converges.
 type roundsPoint struct {
 	Round      int   `json:"round"`
 	RepsReused int64 `json:"reps_reused"`
-	// DocsSkipped counts documents whose relocation this round was decided
-	// from the cached anchor with zero kernel evaluations. DocSkipFrac
-	// normalizes by the corpus size; a round whose relocation fixpoint loop
-	// needs two passes can exceed 1.0 (both passes count their skips).
-	DocsSkipped int64   `json:"docs_skipped"`
-	DocSkipFrac float64 `json:"doc_skip_frac"`
+	// MemoShare normalizes RepsReused by the 2k representative computations
+	// of a round (k local, k global).
+	MemoShare float64 `json:"memo_share"`
 }
 
 // roundsBench is the machine-readable artifact of the rounds experiment:
 // full recomputation vs the cross-round delta engine on the same corpus,
 // with the byte-identity pre-gate result, the full-run speedup the CI
-// regression smoke gates on, the per-round skip trajectory, and the
+// regression smoke gates on, the per-round memo trajectory, and the
 // multi-peer exchange savings.
 type roundsBench struct {
 	Experiment   string `json:"experiment"`
@@ -48,19 +45,18 @@ type roundsBench struct {
 	FullNsPerRun  float64 `json:"full_ns_per_run"`
 	DeltaNsPerRun float64 `json:"delta_ns_per_run"`
 	Speedup       float64 `json:"speedup"`
-	// Counter totals of the delta-on trajectory run.
-	RepsReused  int64 `json:"reps_reused"`
-	DocsSkipped int64 `json:"docs_skipped"`
-	// LateRoundSkipFrac aggregates DocsSkipped over the second half of the
-	// rounds, normalized by documents × rounds — the convergence dividend
-	// the delta engine exists for. The experiment fails below the
-	// lateSkipBar regardless of -min-speedup: late rounds that still pay
-	// kernel evaluations per document mean the anchors are not being
-	// reused. (Aggregated rather than final-round-only: a run can
-	// terminate on a revisited representative state, so the very last
-	// round may legitimately fold freshly changed representatives.)
-	LateRoundSkipFrac float64       `json:"late_round_skip_frac"`
-	Trajectory        []roundsPoint `json:"trajectory"`
+	// RepsReused totals the delta-on trajectory run's memo hits.
+	RepsReused int64 `json:"reps_reused"`
+	// LateRoundMemoShare aggregates RepsReused over the second half of the
+	// rounds, normalized by 2k representative computations per round — the
+	// convergence dividend the delta engine exists for. The experiment
+	// fails below lateMemoBar regardless of -min-speedup: late rounds that
+	// recompute most representatives mean the memo is not being hit.
+	// (Aggregated rather than final-round-only: a run can terminate on a
+	// revisited representative state, and its last round refines no
+	// globals.)
+	LateRoundMemoShare float64       `json:"late_round_memo_share"`
+	Trajectory         []roundsPoint `json:"trajectory"`
 	// Exchange savings of a 3-peer run: wire bytes with full representative
 	// shipping vs digest markers for unchanged representatives.
 	PeerTrafficFullBytes  int64 `json:"peer_traffic_full_bytes"`
@@ -68,13 +64,14 @@ type roundsBench struct {
 	DeltaRepBytesSaved    int64 `json:"delta_rep_bytes_saved"`
 }
 
-// lateSkipBar is the evidence bar on the late-round document-skip
-// fraction: once the run approaches convergence, (nearly) every relocation
-// must resolve from the cached anchors without touching the kernel.
-const lateSkipBar = 0.8
+// lateMemoBar is the evidence bar on the late-round memo share: once the
+// run approaches convergence, most clusters keep their membership (and
+// their globals' inputs), so at least half of the representative
+// computations must come from the memo.
+const lateMemoBar = 0.5
 
 // exchangePeers sizes the multi-peer leg measuring the delta representative
-// exchange (layer 3); the timing and trajectory legs run centralized.
+// exchange; the timing and trajectory legs run centralized.
 const exchangePeers = 3
 
 // runRounds benchmarks the cross-round delta engine against full per-round
@@ -82,9 +79,9 @@ const exchangePeers = 3
 // Engine. Before any timing it asserts the two modes produce byte-identical
 // assignments and representatives — a speedup for a run that diverged would
 // be meaningless. The delta-on run streams round events; differencing the
-// run-wide counters between consecutive rounds yields the skip trajectory,
-// whose final round must clear lateSkipBar. With minSpeedup > 0 it exits
-// non-zero when the full-run speedup falls below the bar (the CI
+// run-wide RepsReused counter between consecutive rounds yields the memo
+// trajectory, whose second half must clear lateMemoBar. With minSpeedup > 0
+// it exits non-zero when the full-run speedup falls below the bar (the CI
 // rounds-regression smoke).
 func runRounds(ds string, scale experiments.Scale, workers int, jsonPath string, minSpeedup float64) error {
 	gen, _ := dataset.ByName(ds)
@@ -146,30 +143,27 @@ func runRounds(ds string, scale experiments.Scale, workers int, jsonPath string,
 	}
 	r.Rounds = full.Rounds
 
-	// Skip trajectory: one instrumented delta-on run, differencing the
-	// run-wide counters carried on consecutive round events. The counters
-	// are totals of the engine's shared similarity context, so the very
-	// first event (round 0's start marker) supplies the pre-run baseline —
-	// the pre-gate runs above already moved them.
-	var lastReused, lastSkipped int64
+	// Memo trajectory: one instrumented delta-on run, differencing the
+	// run-wide RepsReused counter carried on consecutive round events. It
+	// totals the engine's shared similarity context, so the very first
+	// event (round 0's start marker) supplies the pre-run baseline — the
+	// pre-gate runs above already moved it.
+	var lastReused int64
 	primed := false
+	perRound := float64(2 * k)
 	traj, err := eng.Cluster(ctx, func() xmlclust.ClusterOptions {
 		o := opt(xmlclust.DeltaRoundsOn)
 		o.Events = func(ev xmlclust.Event) {
 			if !primed {
-				lastReused, lastSkipped = ev.RepsReused, ev.DocsSkipped
+				lastReused = ev.RepsReused
 				primed = true
 			}
 			if ev.Kind != xmlclust.EventRoundEnd {
 				return
 			}
-			p := roundsPoint{
-				Round:       ev.Round + 1,
-				RepsReused:  ev.RepsReused - lastReused,
-				DocsSkipped: ev.DocsSkipped - lastSkipped,
-			}
-			p.DocSkipFrac = float64(p.DocsSkipped) / float64(len(corpus.Transactions))
-			lastReused, lastSkipped = ev.RepsReused, ev.DocsSkipped
+			p := roundsPoint{Round: ev.Round + 1, RepsReused: ev.RepsReused - lastReused}
+			p.MemoShare = float64(p.RepsReused) / perRound
+			lastReused = ev.RepsReused
 			r.Trajectory = append(r.Trajectory, p)
 		}
 		return o
@@ -177,25 +171,25 @@ func runRounds(ds string, scale experiments.Scale, workers int, jsonPath string,
 	if err != nil {
 		return err
 	}
-	r.RepsReused, r.DocsSkipped = traj.RepsReused, traj.DocsSkipped
-	fmt.Printf("%8s %12s %13s %10s\n", "round", "reps reused", "docs skipped", "skip frac")
+	r.RepsReused = traj.RepsReused
+	fmt.Printf("%8s %12s %11s\n", "round", "reps reused", "memo share")
 	for _, p := range r.Trajectory {
-		fmt.Printf("%8d %12d %13d %9.2f\n", p.Round, p.RepsReused, p.DocsSkipped, p.DocSkipFrac)
+		fmt.Printf("%8d %12d %10.2f\n", p.Round, p.RepsReused, p.MemoShare)
 	}
 	if n := len(r.Trajectory); n > 0 {
 		late := r.Trajectory[n/2:]
-		var skipped int64
+		var reused int64
 		for _, p := range late {
-			skipped += p.DocsSkipped
+			reused += p.RepsReused
 		}
-		r.LateRoundSkipFrac = float64(skipped) / float64(len(late)*len(corpus.Transactions))
+		r.LateRoundMemoShare = float64(reused) / (float64(len(late)) * perRound)
 	}
-	if r.LateRoundSkipFrac < lateSkipBar {
-		return fmt.Errorf("late-round skip fraction %.2f below the %.2f evidence bar: late rounds still pay kernel evaluations per document",
-			r.LateRoundSkipFrac, lateSkipBar)
+	if r.LateRoundMemoShare < lateMemoBar {
+		return fmt.Errorf("late-round memo share %.2f below the %.2f evidence bar: late rounds still recompute most representatives",
+			r.LateRoundMemoShare, lateMemoBar)
 	}
-	fmt.Printf("late-round skip fraction %.2f (rounds %d–%d)\n",
-		r.LateRoundSkipFrac, len(r.Trajectory)/2+1, len(r.Trajectory))
+	fmt.Printf("late-round memo share %.2f (rounds %d–%d)\n",
+		r.LateRoundMemoShare, len(r.Trajectory)/2+1, len(r.Trajectory))
 
 	// Timing: complete clustering jobs, delta off vs on, on the now-warm
 	// engine.
@@ -220,7 +214,8 @@ func runRounds(ds string, scale experiments.Scale, workers int, jsonPath string,
 	// Exchange savings: a small multi-peer job, where unchanged
 	// representatives ship as 24-byte digest markers instead of full wire
 	// transactions. Assignments stay byte-identical (checked again — this
-	// leg exercises layer 3, which the centralized runs above never touch).
+	// leg exercises the digest-marker exchange, which the centralized runs
+	// above never touch).
 	peerOpt := func(mode xmlclust.DeltaRoundsMode) xmlclust.ClusterOptions {
 		o := opt(mode)
 		o.Peers = exchangePeers

@@ -201,7 +201,7 @@ func main() {
 // events are run-wide running totals; the printer differences consecutive
 // events to report the work done (and skipped) since the last line.
 func progressPrinter() func(xmlclust.Event) {
-	var lastCand, lastSkip, lastReused, lastDocSkip int64
+	var lastCand, lastSkip, lastReused int64
 	return func(ev xmlclust.Event) {
 		switch ev.Kind {
 		case xmlclust.EventRoundStart:
@@ -215,16 +215,16 @@ func progressPrinter() func(xmlclust.Event) {
 				line += fmt.Sprintf(", reps evaluated %d / skipped %d", dc, ds)
 				lastCand, lastSkip = ev.IndexCandidates, ev.IndexSkipped
 			}
-			if dr, dd := ev.RepsReused-lastReused, ev.DocsSkipped-lastDocSkip; dr+dd > 0 {
-				line += fmt.Sprintf(", delta: %d reps reused / %d docs skipped", dr, dd)
-				lastReused, lastDocSkip = ev.RepsReused, ev.DocsSkipped
+			if dr := ev.RepsReused - lastReused; dr > 0 {
+				line += fmt.Sprintf(", delta: %d reps reused", dr)
+				lastReused = ev.RepsReused
 			}
 			fmt.Fprintf(os.Stderr, "%s, %v elapsed\n", line, ev.Elapsed.Round(time.Millisecond))
 		case xmlclust.EventDone:
 			if ev.Peer == -1 {
-				fmt.Fprintf(os.Stderr, "done: %d rounds in %v (kernel: %d matrix rows pruned, %d warm-scratch reuses; index: %d reps evaluated, %d skipped; delta: %d reps reused, %d docs skipped, %d B saved)\n",
+				fmt.Fprintf(os.Stderr, "done: %d rounds in %v (kernel: %d matrix rows pruned, %d warm-scratch reuses; index: %d reps evaluated, %d skipped; delta: %d reps reused, %d B saved)\n",
 					ev.Round, ev.Elapsed.Round(time.Millisecond), ev.PrunedRows, ev.ScratchReuses,
-					ev.IndexCandidates, ev.IndexSkipped, ev.RepsReused, ev.DocsSkipped, ev.DeltaRepBytes)
+					ev.IndexCandidates, ev.IndexSkipped, ev.RepsReused, ev.DeltaRepBytes)
 			}
 		}
 	}

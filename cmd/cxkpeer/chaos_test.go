@@ -91,7 +91,7 @@ func runChaos(t *testing.T, freshStore bool) {
 		failRound = 2
 	)
 	// Delta OFF reference: the spawned peer processes run the default delta
-	// engine (anchored relocation + digest-marker exchange), and the digest
+	// engine (representative memo + digest-marker exchange), and the digest
 	// comparison below must hold across modes even through crash recovery.
 	ref, err := xmlclust.Cluster(corpus, xmlclust.ClusterOptions{
 		K: k, F: 0.5, Gamma: 0.6, Peers: m, Seed: seed,

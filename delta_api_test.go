@@ -71,9 +71,9 @@ func TestClusterDeltaModesIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want.RepsReused != 0 || want.DocsSkipped != 0 || want.DeltaRepBytes != 0 {
-				t.Errorf("alg %v peers %d: delta-off run reported delta counters (%d, %d, %d)",
-					alg, peers, want.RepsReused, want.DocsSkipped, want.DeltaRepBytes)
+			if want.RepsReused != 0 || want.DeltaRepBytes != 0 {
+				t.Errorf("alg %v peers %d: delta-off run reported delta counters (%d, %d)",
+					alg, peers, want.RepsReused, want.DeltaRepBytes)
 			}
 			on := base
 			on.DeltaRounds = DeltaRoundsOn
@@ -82,8 +82,8 @@ func TestClusterDeltaModesIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameClustering(t, fmt.Sprintf("alg %v peers %d", alg, peers), want, got)
-			if got.Rounds >= 3 && got.RepsReused+got.DocsSkipped == 0 {
-				t.Errorf("alg %v peers %d: %d-round delta run never hit a cache",
+			if got.Rounds >= 3 && got.RepsReused == 0 {
+				t.Errorf("alg %v peers %d: %d-round delta run never reused a representative",
 					alg, peers, got.Rounds)
 			}
 			if alg == CXKMeans && peers > 1 && got.Rounds >= 3 {
@@ -116,7 +116,7 @@ func TestClusterDeltaDefaultOn(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameClustering(t, "default vs off", off, def)
-	if def.Rounds >= 3 && def.RepsReused+def.DocsSkipped == 0 {
-		t.Errorf("default-mode %d-round run never hit a delta cache: the default is not on", def.Rounds)
+	if def.Rounds >= 3 && def.RepsReused == 0 {
+		t.Errorf("default-mode %d-round run never reused a representative: the default is not on", def.Rounds)
 	}
 }

@@ -278,7 +278,6 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, err
 	candBefore := cx.Counters.IndexCandidates.Load()
 	skipBefore := cx.Counters.IndexSkipped.Load()
 	reusedBefore := cx.Counters.RepsReused.Load()
-	docSkipBefore := cx.Counters.DocsSkipped.Load()
 	deltaBytesBefore := cx.Counters.DeltaRepBytes.Load()
 
 	var res *core.Result
@@ -320,7 +319,6 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, err
 		IndexCandidates: cx.Counters.IndexCandidates.Load() - candBefore,
 		IndexSkipped:    cx.Counters.IndexSkipped.Load() - skipBefore,
 		RepsReused:      cx.Counters.RepsReused.Load() - reusedBefore,
-		DocsSkipped:     cx.Counters.DocsSkipped.Load() - docSkipBefore,
 		DeltaRepBytes:   cx.Counters.DeltaRepBytes.Load() - deltaBytesBefore,
 	}, nil
 }

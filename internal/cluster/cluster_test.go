@@ -53,6 +53,13 @@ func ctxFor(corpus *txn.Corpus, f, gamma float64) *sim.Context {
 	return sim.NewContext(corpus, sim.Params{F: f, Gamma: gamma})
 }
 
+// relocateFlat is the flat relocation pass: RelocateCtxIndexed through a
+// postings-only index (no candidate pruning), uncancelled.
+func relocateFlat(cx *sim.Context, s, reps []*txn.Transaction, workers int) []int {
+	assign, _ := RelocateCtxIndexed(nil, cx, s, reps, workers, nil)
+	return assign
+}
+
 func TestConflateItemsGroupsByPath(t *testing.T) {
 	corpus := twoTopicDocs(t, 2)
 	cx := ctxFor(corpus, 0.5, 0.6)
@@ -276,7 +283,7 @@ func TestRelocateTrashAndArgmax(t *testing.T) {
 		ComputeLocalRepresentative(RepConfig{Ctx: cx}, papers),
 		ComputeLocalRepresentative(RepConfig{Ctx: cx}, reports),
 	}
-	assign := Relocate(cx, corpus.Transactions, reps)
+	assign := relocateFlat(cx, corpus.Transactions, reps, 1)
 	for i := 0; i < 3; i++ {
 		if assign[i] != 0 {
 			t.Errorf("paper %d assigned to %d", i, assign[i])
@@ -288,7 +295,7 @@ func TestRelocateTrashAndArgmax(t *testing.T) {
 		}
 	}
 	// Nil representatives are skipped; all-nil → trash.
-	assign = Relocate(cx, corpus.Transactions, []*txn.Transaction{nil, nil})
+	assign = relocateFlat(cx, corpus.Transactions, []*txn.Transaction{nil, nil}, 1)
 	for _, a := range assign {
 		if a != TrashCluster {
 			t.Errorf("expected trash with nil reps, got %d", a)
@@ -512,9 +519,9 @@ func TestRelocateWorkersEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	reps := SelectInitial(corpus.Transactions, 4, rng)
 	reps = append(reps, nil) // nil reps must never win, under any schedule
-	serial := Relocate(cx, corpus.Transactions, reps)
+	serial := relocateFlat(cx, corpus.Transactions, reps, 1)
 	for _, w := range []int{2, 3, 8, 0} {
-		got := RelocateWorkers(cx, corpus.Transactions, reps, w)
+		got := relocateFlat(cx, corpus.Transactions, reps, w)
 		for i := range serial {
 			if serial[i] != got[i] {
 				t.Fatalf("workers=%d: assignment %d differs: %d vs %d", w, i, serial[i], got[i])
@@ -561,17 +568,17 @@ func TestRelocateOneMatchesRelocate(t *testing.T) {
 		ComputeLocalRepresentative(RepConfig{Ctx: cx}, corpus.Transactions[:3]),
 		ComputeLocalRepresentative(RepConfig{Ctx: cx}, corpus.Transactions[3:]),
 	}
-	batch := Relocate(cx, corpus.Transactions, reps)
+	batch := relocateFlat(cx, corpus.Transactions, reps, 1)
 	sc := sim.NewScratch()
 	ix := sim.NewRepIndex()
 	ix.BuildMode(cx, reps, false)
 	for i, tr := range corpus.Transactions {
-		gotJ, gotSim := RelocateOne(cx, tr, reps, nil, sc)
+		gotJ, gotSim := RelocateOne(cx, tr, reps, nil, nil, sc)
 		if gotJ != batch[i] {
 			t.Errorf("transaction %d: RelocateOne chose %d, Relocate chose %d", i, gotJ, batch[i])
 		}
 		// Postings shared through an index must give the same scan.
-		if j, v := RelocateOne(cx, tr, reps, ix, sc); j != gotJ || v != gotSim {
+		if j, v := RelocateOne(cx, tr, reps, ix, nil, sc); j != gotJ || v != gotSim {
 			t.Errorf("transaction %d: RelocateOne with index postings (%d,%g) != (%d,%g)", i, j, v, gotJ, gotSim)
 		}
 		if gotJ == TrashCluster {
@@ -587,16 +594,16 @@ func TestRelocateOneMatchesRelocate(t *testing.T) {
 			t.Errorf("transaction %d: RelocateOne sim %g, direct %g", i, gotSim, want)
 		}
 		// nil scratch must allocate and agree.
-		j2, s2 := RelocateOne(cx, tr, reps, nil, nil)
+		j2, s2 := RelocateOne(cx, tr, reps, nil, nil, nil)
 		if j2 != gotJ || s2 != gotSim {
 			t.Errorf("transaction %d: nil-scratch RelocateOne (%d,%g) != (%d,%g)", i, j2, s2, gotJ, gotSim)
 		}
 	}
 	// Nil and empty representative sets are trash.
-	if j, s := RelocateOne(cx, corpus.Transactions[0], nil, nil, sc); j != TrashCluster || s != 0 {
+	if j, s := RelocateOne(cx, corpus.Transactions[0], nil, nil, nil, sc); j != TrashCluster || s != 0 {
 		t.Errorf("empty reps: got (%d,%g)", j, s)
 	}
-	if j, _ := RelocateOne(cx, corpus.Transactions[0], []*txn.Transaction{nil, nil}, nil, sc); j != TrashCluster {
+	if j, _ := RelocateOne(cx, corpus.Transactions[0], []*txn.Transaction{nil, nil}, nil, nil, sc); j != TrashCluster {
 		t.Errorf("all-nil reps: got cluster %d", j)
 	}
 }

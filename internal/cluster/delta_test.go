@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"xmlclust/internal/sim"
-	"xmlclust/internal/txn"
 )
 
 // TestXKMeansDeltaEquivalence pins the full clustering loop byte-identical
@@ -31,114 +30,10 @@ func TestXKMeansDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// repTrajectory returns the representative sets an XKMeans run passes
-// through: the reps after 1, 2, … iterations of the same seeded run (the
-// deterministic seed makes every prefix identical), with the final set
-// repeated once — the converged round where nothing changes.
-func repTrajectory(cx *sim.Context, s []*txn.Transaction, k int, iters int) [][]*txn.Transaction {
-	var sets [][]*txn.Transaction
-	for it := 1; it <= iters; it++ {
-		cl := XKMeans(cx, s, Config{K: k, MaxIter: it, Seed: 31, Workers: 1})
-		sets = append(sets, cl.Reps)
-	}
-	return append(sets, sets[len(sets)-1])
-}
-
-// TestDeltaRelocateEquivalence replays a run's representative trajectory
-// through one DeltaState and requires every round's assignment to be
-// byte-identical to a fresh full scan against the same representatives —
-// flat and indexed, workers 1 and 4 — while the skip counter proves the
-// cross-round cache is actually firing on the repeated (converged) set.
-func TestDeltaRelocateEquivalence(t *testing.T) {
-	corpus := tieHeavyCorpus(t, 60, 17)
-	s := corpus.Transactions
-	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-	sets := repTrajectory(cx, s, 6, 5)
-	for _, indexed := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			d := NewDeltaState(6)
-			skip0 := cx.Counters.DocsSkipped.Load()
-			for round, reps := range sets {
-				var ix *sim.RepIndex
-				if indexed {
-					ix = sim.NewRepIndex()
-					ix.Build(cx, reps)
-				}
-				want, err := RelocateCtxIndexed(nil, cx, s, reps, 1, ix)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := d.Relocate(nil, cx, s, reps, workers, ix)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("indexed %v workers %d round %d: delta assignment diverges at %d: %d != %d",
-							indexed, workers, round, i, got[i], want[i])
-					}
-				}
-			}
-			if skipped := cx.Counters.DocsSkipped.Load() - skip0; skipped < int64(len(s)) {
-				t.Errorf("indexed %v workers %d: only %d docs skipped across the trajectory; the repeated final set alone should skip all %d",
-					indexed, workers, skipped, len(s))
-			}
-		}
-	}
-}
-
-// TestDeltaRelocateResetAndResize pins the invalidation paths: Reset drops
-// the anchors (the next call runs a full pass and stays correct), and a
-// representative set of a different size triggers the defensive reset
-// instead of folding against stale anchors.
-func TestDeltaRelocateResetAndResize(t *testing.T) {
-	corpus := tieHeavyCorpus(t, 40, 3)
-	s := corpus.Transactions
-	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-	sets := repTrajectory(cx, s, 5, 3)
-
-	d := NewDeltaState(5)
-	for _, reps := range sets[:2] {
-		if _, err := d.Relocate(nil, cx, s, reps, 1, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.Reset()
-	reps := sets[2]
-	want, err := RelocateCtxIndexed(nil, cx, s, reps, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.Relocate(nil, cx, s, reps, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("post-Reset assignment diverges at %d: %d != %d", i, got[i], want[i])
-		}
-	}
-
-	// Shrunken representative set: d was sized for 5 clusters.
-	small := reps[:3]
-	want, err = RelocateCtxIndexed(nil, cx, s, small, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = d.Relocate(nil, cx, s, small, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("post-resize assignment diverges at %d: %d != %d", i, got[i], want[i])
-		}
-	}
-}
-
-// TestDeltaRepMemo pins layers 1 and 3: an unchanged membership fingerprint
+// TestDeltaRepMemo pins both memos: an unchanged membership fingerprint
 // returns the cached representative object (no recomputation, counter
 // moves), a changed one recomputes; same for the weighted global merge.
+// Reset drops both, so the next lookups recompute.
 func TestDeltaRepMemo(t *testing.T) {
 	corpus := twoTopicDocs(t, 6)
 	s := corpus.Transactions
@@ -183,44 +78,13 @@ func TestDeltaRepMemo(t *testing.T) {
 		// A weight change re-ranks: the memo must not serve the old object.
 		t.Error("changed weight returned the stale memoized global representative")
 	}
-}
 
-// TestDeltaRelocateZeroAllocWarm extends the CI allocation guards to the
-// delta skip path: with warm scratch and query state and no changed
-// representative able to reach the document, deciding a document from its
-// cached anchor performs zero heap allocations and zero kernel evaluations.
-func TestDeltaRelocateZeroAllocWarm(t *testing.T) {
-	corpus := twoTopicDocs(t, 12)
-	s := corpus.Transactions
-	cx := ctxFor(corpus, 0.5, 0.6)
-	cl := XKMeans(cx, s, Config{K: 4, MaxIter: 3, Seed: 3, Workers: 1})
-	reps := cl.Reps
-	ix := sim.NewRepIndex()
-	ix.Build(cx, reps)
-	if !ix.Enabled() {
-		t.Fatal("index unexpectedly disabled")
-	}
-	d := NewDeltaState(4)
-	if _, err := d.Relocate(nil, cx, s, reps, 1, ix); err != nil {
-		t.Fatal(err) // primes the anchors
-	}
-	// No representative changed: every document must resolve from its
-	// anchor without touching the kernel.
-	for j := range d.changed {
-		d.changed[j] = false
-	}
-	sc := sim.NewScratch()
-	rq := sim.NewRepQuery()
-	j0, v0, skip := d.relocateOneDelta(cx, s[0], reps, ix, rq, sc, d.bestJ[0], d.bestScore[0])
-	if !skip {
-		t.Fatalf("unchanged reps: document evaluated the kernel (got cluster %d score %v)", j0, v0)
-	}
-	if j0 != d.bestJ[0] || v0 != d.bestScore[0] {
-		t.Fatalf("skip returned (%d, %v), want the cached anchor (%d, %v)", j0, v0, d.bestJ[0], d.bestScore[0])
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		d.relocateOneDelta(cx, s[0], reps, ix, rq, sc, d.bestJ[0], d.bestScore[0])
-	}); avg != 0 {
-		t.Errorf("warm delta skip path allocates %.2f/op, want 0", avg)
+	// Reset: the memoized inputs (membership B, weight 7) recompute.
+	d.Reset()
+	reused0 = cx.Counters.RepsReused.Load()
+	d.LocalRep(cfg, 0, fpB, membersB)
+	d.GlobalRep(cfg, 0, []WeightedRep{{Rep: repA, Weight: 7}})
+	if reused := cx.Counters.RepsReused.Load() - reused0; reused != 0 {
+		t.Errorf("RepsReused moved by %d after Reset, want 0", reused)
 	}
 }

@@ -118,7 +118,7 @@ func TestPropertyRelocateWithinBounds(t *testing.T) {
 				reps[j] = corpus.Transactions[rng.Intn(len(corpus.Transactions))]
 			}
 		}
-		assign := Relocate(cx, corpus.Transactions, reps)
+		assign := relocateFlat(cx, corpus.Transactions, reps, 1)
 		for _, a := range assign {
 			if a != TrashCluster && (a < 0 || a >= k) {
 				return false

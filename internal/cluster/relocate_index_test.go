@@ -57,7 +57,7 @@ var indexParamsGrid = []sim.Params{
 
 // TestRelocateIndexEquivalence pins the index-guided relocation
 // byte-identical to the flat scan — assignment AND winning similarity —
-// per document, across the regime grid, on both the structured two-topic
+// per document and through the batch scan, across the regime grid, on both the structured two-topic
 // fixture and a randomized tie-heavy corpus, against raw initial and
 // refined synthetic representatives, for workers ∈ {1, 4}. The parallel
 // runs also go through postings-only indexes (pruning off), and each run
@@ -80,27 +80,30 @@ func TestRelocateIndexEquivalence(t *testing.T) {
 				ix.Build(cx, reps)
 				sc := sim.NewScratch()
 				rq := sim.NewRepQuery()
+				wantSims := make([]float64, len(s))
 				for i, tr := range s {
-					wantJ, wantV := RelocateOne(cx, tr, reps, nil, sc)
-					gotJ, gotV := RelocateOneIndexed(cx, tr, reps, ix, rq, sc)
+					wantJ, wantV := RelocateOne(cx, tr, reps, nil, nil, sc)
+					gotJ, gotV := RelocateOne(cx, tr, reps, ix, rq, sc)
 					if gotJ != wantJ || gotV != wantV {
 						t.Fatalf("%s params %+v reps#%d doc %d: indexed (%d, %v) != flat (%d, %v)",
 							name, p, ri, i, gotJ, gotV, wantJ, wantV)
 					}
+					wantSims[i] = wantV
 				}
-				want := RelocateWorkers(cx, s, reps, 1)
+				want := relocateFlat(cx, s, reps, 1)
 				for _, workers := range []int{1, 4} {
 					for _, prune := range []bool{true, false} {
 						fresh := sim.NewRepIndex()
 						fresh.BuildMode(cx, reps, prune)
-						got, err := RelocateCtxIndexed(nil, cx, s, reps, workers, fresh)
+						sims := make([]float64, len(s))
+						got, err := RelocateCtxIndexed(nil, cx, s, reps, workers, fresh, sims)
 						if err != nil {
 							t.Fatal(err)
 						}
 						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("%s params %+v reps#%d workers %d prune %v: indexed assignment diverges at %d: %d != %d",
-									name, p, ri, workers, prune, i, got[i], want[i])
+							if got[i] != want[i] || sims[i] != wantSims[i] {
+								t.Fatalf("%s params %+v reps#%d workers %d prune %v: batch (%d, %v) diverges at %d from (%d, %v)",
+									name, p, ri, workers, prune, got[i], sims[i], i, want[i], wantSims[i])
 							}
 						}
 					}
@@ -181,7 +184,7 @@ func TestXKMeansIndexEquivalence(t *testing.T) {
 
 // TestRelocateOneIndexedZeroAllocWarm extends the CI allocation guards to
 // the indexed assignment path: with a warm scratch, query state and index,
-// relocating one document through the index performs zero heap allocations.
+// RelocateOne through the index performs zero heap allocations.
 // A companion check pins the per-round index rebuild to zero steady-state
 // allocations too (all slabs and maps are reused), counting the
 // representatives' term postings, which the index builds on first use.
@@ -199,12 +202,12 @@ func TestRelocateOneIndexedZeroAllocWarm(t *testing.T) {
 	sc := sim.NewScratch()
 	rq := sim.NewRepQuery()
 	for _, tr := range s {
-		RelocateOneIndexed(cx, tr, reps, ix, rq, sc)
+		RelocateOne(cx, tr, reps, ix, rq, sc)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		RelocateOneIndexed(cx, s[0], reps, ix, rq, sc)
+		RelocateOne(cx, s[0], reps, ix, rq, sc)
 	}); avg != 0 {
-		t.Errorf("warm RelocateOneIndexed allocates %.2f/op, want 0", avg)
+		t.Errorf("warm indexed RelocateOne allocates %.2f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
 		ix.Build(cx, reps)

@@ -53,7 +53,7 @@ func TestRelocatePruningEquivalence(t *testing.T) {
 		for _, reps := range [][]*txn.Transaction{initial, cl.Reps} {
 			want := unprunedRelocate(cx, s, reps)
 			for _, workers := range []int{1, 4} {
-				got := RelocateWorkers(cx, s, reps, workers)
+				got := relocateFlat(cx, s, reps, workers)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("params %+v workers %d: pruned assignment diverges at %d: %d != %d",

@@ -6,21 +6,23 @@
 // # Delta-state contract
 //
 // DeltaState carries exact cross-round caches through a run's iterations:
-// a membership-fingerprinted representative memo (LocalRep / GlobalRep
-// return last round's representative verbatim when the inputs are
-// unchanged) and per-document relocation anchors (Relocate folds only the
-// representatives that changed since the previous call, skipping a
-// document outright when no changed representative's upper bound can beat
-// its cached anchor). The contract is byte-identity: for any call
-// sequence, results equal the memo-free computation exactly, including
-// the lowest-index tie rule. That holds only while the similarity context
-// (corpus, F, γ) and the cluster count stay fixed; a caller that changes
-// either must call Reset, and DeltaState defensively resets itself when
-// handed a representative slice of a different length. Callers also Reset
-// on any external invalidation of the run's continuity — a session
-// rollback, restore or epoch change, or a serving-layer refresh over a
-// rebuilt corpus. One DeltaState serves one sequential run; it is not
-// safe for concurrent use (worker parallelism happens inside Relocate).
+// membership- and input-fingerprinted representative memos (LocalRep /
+// GlobalRep return last round's representative verbatim when the inputs
+// are unchanged). The contract is byte-identity: for any call sequence,
+// results equal the memo-free computation exactly. That holds only while
+// the similarity context (corpus, F, γ) and the cluster count stay fixed;
+// a caller that changes either must call Reset. Callers also Reset on any
+// external invalidation of the run's continuity — a session rollback,
+// restore or epoch change, or a serving-layer refresh over a rebuilt
+// corpus. One DeltaState serves one sequential run; it is not safe for
+// concurrent use.
+//
+// # Relocation
+//
+// Relocation has two entry points: RelocateOne decides one transaction
+// (through a representative index's candidates when the index prunes, by a
+// flat branch-and-bound scan otherwise), and RelocateCtxIndexed runs it over
+// a transaction set on a worker pool.
 package cluster
 
 import (

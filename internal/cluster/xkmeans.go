@@ -39,8 +39,7 @@ type Config struct {
 	// many representatives each document touches.
 	IndexReps bool
 	// DeltaRounds carries a DeltaState across iterations: unchanged cluster
-	// memberships reuse their memoized representatives and unchanged
-	// representatives skip re-evaluation in relocation (see delta.go).
+	// memberships reuse their memoized representatives (see delta.go).
 	// Output is byte-identical either way.
 	DeltaRounds bool
 }
@@ -119,72 +118,44 @@ func SelectInitial(s []*txn.Transaction, q int, rng *rand.Rand) []*txn.Transacti
 	return out
 }
 
-// Relocate performs the transaction-relocation step of Fig. 5 for a fixed
-// set of representatives: every transaction with zero similarity to all
-// representatives joins the trash cluster; the others join the argmax
-// cluster (ties to the lowest index). nil reps never win.
-func Relocate(cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction) []int {
-	return RelocateWorkers(cx, s, reps, 1)
-}
-
-// RelocateWorkers is Relocate spread over a worker pool. Transactions are
-// independent under a fixed representative set, so each worker computes the
-// argmax for the indices it draws and writes into the pre-indexed slot of
-// the assignment slice; tie-breaking (lowest cluster index) happens inside
-// the per-transaction scan, so the result is byte-identical to the serial
-// Relocate for any worker count.
-func RelocateWorkers(cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int) []int {
-	assign, _ := RelocateCtx(nil, cx, s, reps, workers)
-	return assign
-}
-
-// RelocateCtx is RelocateWorkers with cooperative cancellation: workers stop
-// drawing transactions once ctx is done and the call returns ctx's error
-// with a partial (unusable) assignment. A nil ctx never cancels.
+// RelocateCtxIndexed performs the transaction-relocation step of Fig. 5 for
+// a fixed set of representatives: every transaction with zero similarity to
+// all representatives joins the trash cluster; the others join the argmax
+// cluster (ties to the lowest index; nil and empty representatives never
+// win). Each transaction is decided by RelocateOne.
 //
-// Each worker owns one similarity Scratch (reused across every pair it
-// evaluates, so the scan allocates nothing per pair) and threads its
-// running argmax through sim.TransactionsAtLeast: once a representative
-// has scored `best`, later representatives are abandoned as soon as the
-// kernel's exact upper bound proves they cannot strictly beat it. The
-// bound is exact and ties still resolve to the lowest representative
-// index, so assignments stay byte-identical to an unpruned scan for any
-// worker count (pinned by TestRelocatePruningEquivalence).
-func RelocateCtx(ctx context.Context, cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int) ([]int, error) {
-	return RelocateCtxIndexed(ctx, cx, s, reps, workers, nil)
-}
-
-// RelocateCtxIndexed is RelocateCtx driven through a representative index:
-// each worker queries ix for the candidate representatives of its
-// transaction (sorted by exact upper bound) and runs the branch-and-bound
-// argmax over those, stopping as soon as the bounds prove no unseen
-// representative can win. A nil or disabled index falls back to the flat
-// scan. ix must have been built over exactly this reps slice under cx's
-// parameters; assignments are byte-identical with the index on or off.
-func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int, ix *sim.RepIndex) ([]int, error) {
+// Transactions are independent under a fixed representative set, so the
+// scan is spread over a worker pool: each worker owns one similarity Scratch
+// and one RepQuery, reused across every transaction it draws, and writes
+// into the pre-indexed slot of the assignment slice. Tie-breaking happens
+// inside the per-transaction scan, so the result is byte-identical for any
+// worker count, and with the index's candidate pruning on or off. Workers
+// stop drawing transactions once ctx is done and the call returns ctx's
+// error; a nil ctx never cancels.
+//
+// ix must have been built over exactly this reps slice under cx's
+// parameters; nil builds a postings-only index for this call. When sims is
+// given, its first slice (len(s) long) also receives each transaction's
+// winning similarity (0 for trash).
+func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int, ix *sim.RepIndex, sims ...[]float64) ([]int, error) {
 	ix = postingsFor(cx, reps, ix)
+	var best []float64
+	if len(sims) > 0 {
+		best = sims[0]
+	}
 	assign := make([]int, len(s))
 	nw := parallel.WorkerCount(workers, len(s))
 	scratches := make([]*sim.Scratch, nw)
-	var queries []*sim.RepQuery
-	if ix.Enabled() {
-		queries = make([]*sim.RepQuery, nw)
-	}
+	queries := make([]*sim.RepQuery, nw)
 	err := parallel.ForCtxWorkers(ctx, workers, len(s), func(w, i int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = sim.NewScratch()
-			scratches[w] = sc
+		if scratches[w] == nil {
+			scratches[w], queries[w] = sim.NewScratch(), sim.NewRepQuery()
 		}
-		var rq *sim.RepQuery
-		if queries != nil {
-			rq = queries[w]
-			if rq == nil {
-				rq = sim.NewRepQuery()
-				queries[w] = rq
-			}
+		j, v := RelocateOne(cx, s[i], reps, ix, queries[w], scratches[w])
+		assign[i] = j
+		if best != nil {
+			best[i] = v
 		}
-		assign[i], _ = RelocateOneIndexed(cx, s[i], reps, ix, rq, sc)
 	})
 	if err != nil {
 		return nil, err
@@ -207,70 +178,59 @@ func postingsFor(cx *sim.Context, reps []*txn.Transaction, ix *sim.RepIndex) *si
 // RelocateOne relocates a single transaction against a fixed representative
 // set: it returns the argmax cluster (ties to the lowest index, nil and
 // empty representatives never win, TrashCluster when every similarity is
-// zero) together with the winning similarity. This is the per-transaction
-// scan RelocateCtx runs — exposed as the single-document entry point of the
+// zero) together with the winning similarity. It is the per-transaction
+// scan RelocateCtxIndexed runs, and the single-document entry point of the
 // incremental serving layer, so online assignments match what a batch
 // relocation would produce for the same representatives by construction.
-// The scan threads its running best through the branch-and-bound kernel
-// over every representative, whether or not ix could prune candidates: ix,
-// built over reps, only supplies the representatives' term postings. A nil
-// ix builds them for this call alone, so scans pass one index for all
-// their documents. sc may be nil (a scratch is then allocated per call).
-func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, sc *sim.Scratch) (int, float64) {
-	ix = postingsFor(cx, reps, ix)
-	if sc == nil {
-		sc = sim.NewScratch()
-	}
-	best, bestJ := 0.0, TrashCluster
-	for j, rep := range reps {
-		if rep == nil || rep.Len() == 0 {
-			continue
-		}
-		v := cx.TransactionsRep(tr, ix.Postings(j), best, sc)
-		if v > best {
-			best, bestJ = v, j
-		}
-	}
-	return bestJ, best
-}
-
-// RelocateOneIndexed is RelocateOne through a representative index: only
-// ix's candidates for tr are evaluated, in decreasing upper-bound order,
-// and the scan stops once the remaining bounds prove no unseen candidate
-// can strictly beat the running best — or tie it at a lower cluster index.
-// The result is byte-identical to RelocateOne for the same reps:
+//
+// ix, built over reps, supplies the representatives' term postings; a nil
+// ix builds them for this call alone, so scans pass one index for all their
+// documents. When ix.Enabled(), only its candidates for tr are evaluated,
+// in decreasing upper-bound order, and the scan stops once the remaining
+// bounds prove no unseen candidate can strictly beat the running best — or
+// tie it at a lower cluster index. Otherwise every representative is
+// evaluated in index order, each through the branch-and-bound kernel
+// thresholded at the running best. Both walks give the same result:
 //
 //   - every representative with nonzero similarity to tr is a candidate
 //     (sim.RepIndex's soundness guarantee), and a zero-similarity
-//     representative can never win the flat scan either (best starts at 0
+//     representative can never win the flat walk either (best starts at 0
 //     and only strict improvements move it);
-//   - the kernel threshold is nudged one ulp below the running best, so a
-//     candidate that exactly ties is always evaluated to completion and can
-//     claim the tie when its index is lower — the flat scan's lowest-index
-//     rule, reached from a different evaluation order;
+//   - the indexed walk nudges the kernel threshold one ulp below the running
+//     best, so a candidate that exactly ties is always evaluated to
+//     completion and can claim the tie when its index is lower — the flat
+//     walk's lowest-index rule, reached from a different evaluation order;
 //   - the early exit only fires when a candidate's bound is strictly below
 //     best, or equal to it at a higher index: the (UB desc, index asc)
 //     candidate order makes every remaining candidate lose by the same
 //     argument.
 //
-// Work accounting: evaluated candidates are added to
+// Work accounting (indexed walk only): evaluated candidates are added to
 // Counters.IndexCandidates, and the representatives never touched
 // (non-candidates plus bound-pruned candidates) to Counters.IndexSkipped;
-// the two sum to ix.Active() per call. A nil or disabled index falls back
-// to the flat scan (no counters move). rq may be nil (allocates per call);
-// pass a per-goroutine RepQuery on hot paths.
-func RelocateOneIndexed(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, rq *sim.RepQuery, sc *sim.Scratch) (int, float64) {
-	if ix == nil || !ix.Enabled() {
-		return RelocateOne(cx, tr, reps, ix, sc)
-	}
+// the two sum to ix.Active() per call. rq and sc may be nil (allocated per
+// call); pass per-goroutine ones on hot paths.
+func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, rq *sim.RepQuery, sc *sim.Scratch) (int, float64) {
+	ix = postingsFor(cx, reps, ix)
 	if sc == nil {
 		sc = sim.NewScratch()
+	}
+	best, bestJ := 0.0, TrashCluster
+	if !ix.Enabled() {
+		for j, rep := range reps {
+			if rep == nil || rep.Len() == 0 {
+				continue
+			}
+			if v := cx.TransactionsRep(tr, ix.Postings(j), best, sc); v > best {
+				best, bestJ = v, j
+			}
+		}
+		return bestJ, best
 	}
 	if rq == nil {
 		rq = sim.NewRepQuery()
 	}
 	n := ix.Candidates(tr, rq)
-	best, bestJ := 0.0, TrashCluster
 	evaluated := 0
 	for c := 0; c < n; c++ {
 		j, ub := rq.Candidate(c)
@@ -318,12 +278,7 @@ func XKMeans(cx *sim.Context, s []*txn.Transaction, cfg Config) *Clustering {
 	for iter := 0; iter < maxIter; iter++ {
 		cl.Iterations = iter + 1
 		ix.BuildMode(cx, reps, cfg.IndexReps)
-		var assign []int
-		if ds != nil {
-			assign, _ = ds.Relocate(nil, cx, s, reps, cfg.Workers, ix)
-		} else {
-			assign, _ = RelocateCtxIndexed(nil, cx, s, reps, cfg.Workers, ix)
-		}
+		assign, _ := RelocateCtxIndexed(nil, cx, s, reps, cfg.Workers, ix)
 		newReps := make([]*txn.Transaction, k)
 		members := make([][]*txn.Transaction, k)
 		for i, a := range assign {

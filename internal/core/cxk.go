@@ -47,10 +47,8 @@ type Options struct {
 	IndexReps bool
 	// DeltaRounds carries a cross-round delta cache through every peer
 	// session (cluster.DeltaState): unchanged cluster memberships reuse their
-	// memoized representatives, documents whose cached best cluster provably
-	// still wins skip relocation outright, and unchanged local
-	// representatives travel as digest markers instead of full wire
-	// transactions. Assignments and representatives are byte-identical either
+	// memoized representatives, and unchanged local representatives travel
+	// as digest markers instead of full wire transactions. Assignments and representatives are byte-identical either
 	// way; every peer of a session must agree (enforced via
 	// StartMsg.DeltaExchange).
 	DeltaRounds bool
@@ -350,7 +348,6 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 			IndexCandidates: cx.Counters.IndexCandidates.Load(),
 			IndexSkipped:    cx.Counters.IndexSkipped.Load(),
 			RepsReused:      cx.Counters.RepsReused.Load(),
-			DocsSkipped:     cx.Counters.DocsSkipped.Load(),
 			DeltaRepBytes:   cx.Counters.DeltaRepBytes.Load(),
 			Elapsed:         wall,
 		})

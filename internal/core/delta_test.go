@@ -31,9 +31,9 @@ func runCXKDelta(t testing.TB, cx *sim.Context, corpus *txn.Corpus, k, m int, se
 // byte-identical results — assignments, rounds AND representative item
 // sequences — with the delta-round engine on and off, across network sizes,
 // worker counts, both relocation paths and several corpora. This is the
-// session-level byte-identity gate of the delta rounds (the relocation
-// anchors, the representative memo and the digest-marker exchange all run
-// in the delta configuration here).
+// session-level byte-identity gate of the delta rounds (the representative
+// memos and the digest-marker exchange both run in the delta configuration
+// here).
 func TestRunDeltaEquivalence(t *testing.T) {
 	type corpusCase struct {
 		name   string
@@ -69,7 +69,7 @@ func TestRunDeltaEquivalence(t *testing.T) {
 }
 
 // TestRunDeltaCountersAndTraffic pins the observable effects of the delta
-// engine on a multi-peer run: the reuse/skip counters move, unchanged
+// engine on a multi-peer run: the representative-reuse counter moves, unchanged
 // representatives ship as digest markers (modeled bytes saved), and the
 // total modeled traffic drops below the full-shipping run's.
 func TestRunDeltaCountersAndTraffic(t *testing.T) {
@@ -80,7 +80,7 @@ func TestRunDeltaCountersAndTraffic(t *testing.T) {
 
 	cxOff := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.7})
 	off := runCXKDelta(t, cxOff, corpus, k, 3, 9, 1, false, false)
-	if got := cxOff.Counters.RepsReused.Load() + cxOff.Counters.DocsSkipped.Load() + cxOff.Counters.DeltaRepBytes.Load(); got != 0 {
+	if got := cxOff.Counters.RepsReused.Load() + cxOff.Counters.DeltaRepBytes.Load(); got != 0 {
 		t.Fatalf("delta-off run moved delta counters: %d", got)
 	}
 
@@ -89,9 +89,6 @@ func TestRunDeltaCountersAndTraffic(t *testing.T) {
 	assertResultsEqual(t, "counters run", off, on)
 	if on.Rounds < 3 {
 		t.Skipf("run converged in %d rounds; too short to exercise the caches", on.Rounds)
-	}
-	if v := cxOn.Counters.DocsSkipped.Load(); v == 0 {
-		t.Error("DocsSkipped did not move on a multi-round delta run")
 	}
 	if v := cxOn.Counters.RepsReused.Load(); v == 0 {
 		t.Error("RepsReused did not move on a multi-round delta run")
@@ -202,5 +199,50 @@ func TestDeltaMarkerWithoutCacheFails(t *testing.T) {
 	got, ok := reps[0]
 	if !ok || got.Weight != 5 || wireDigest(got.Rep) != wireDigest(w) {
 		t.Fatalf("marker expansion: got %+v, want cached rep at weight 5", got)
+	}
+}
+
+// TestSessionOneRelocationPassPerRound pins Fig. 5's relocation step: each
+// round relocates every local transaction exactly once against the fixed
+// globals. With the index on, one pass moves IndexCandidates + IndexSkipped
+// by exactly Active() × len(Local), so every relocate phase of an R-round
+// session must move them by that much, and R phases must run.
+func TestSessionOneRelocationPassPerRound(t *testing.T) {
+	gen, _ := dataset.ByName("DBLP")
+	col := gen(dataset.Spec{Docs: 30, Seed: 99})
+	corpus := col.BuildCorpus(dataset.ByHybrid, 24, 1)
+	k := col.K(dataset.ByHybrid)
+	tr := p2p.NewChanTransport(1, nil)
+	defer tr.Close()
+	part := EqualPartition(len(corpus.Transactions), 1, 9)
+	s := newSession(testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.IndexReps = true }))
+	if err := tr.Send(0, 0, startMsgFor(k, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ctrs := &s.p.cfg.Ctx.Counters
+	passes := 0
+	for s.phase != PhaseDone {
+		relocating := s.phase == PhaseRelocate
+		before := ctrs.IndexCandidates.Load() + ctrs.IndexSkipped.Load()
+		if err := s.step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if !relocating {
+			continue
+		}
+		passes++
+		if !s.repIndex.Enabled() {
+			t.Fatal("index unexpectedly disabled")
+		}
+		want := int64(s.repIndex.Active()) * int64(len(s.p.cfg.Local))
+		if got := ctrs.IndexCandidates.Load() + ctrs.IndexSkipped.Load() - before; got != want {
+			t.Errorf("round %d: relocation touched %d representative slots, want one pass = %d", s.round, got, want)
+		}
+	}
+	if s.rounds < 3 {
+		t.Fatalf("session ran %d rounds; too short to show a per-round pass count", s.rounds)
+	}
+	if passes != s.rounds {
+		t.Errorf("%d relocate phases for %d rounds", passes, s.rounds)
 	}
 }

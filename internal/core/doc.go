@@ -23,10 +23,9 @@
 //	Phase 1  broadcast  — peer i sends {g_j | j ∈ Z_i} to every other peer
 //	                      and waits for the complementing m−1 messages, so
 //	                      each peer holds all k global representatives.
-//	Phase 2  relocate   — relocation against the fixed globals (zero
-//	                      similarity ⇒ trash cluster k+1) until the local
-//	                      assignment is a fixpoint, then one local
-//	                      representative ℓ_ij per non-empty cluster.
+//	Phase 2  relocate   — one relocation pass against the fixed globals
+//	                      (zero similarity ⇒ trash cluster k+1), then one
+//	                      local representative ℓ_ij per non-empty cluster.
 //	Phase 3  exchange   — if no ℓ_ij changed (or the state revisits a
 //	                      previous fingerprint), peer i broadcasts an empty
 //	                      LocalRepsMsg with FlagDone; otherwise it sends

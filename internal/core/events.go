@@ -76,13 +76,17 @@ type Event struct {
 	// not win and never touched. Same run-wide running-total semantics as
 	// PrunedRows.
 	IndexCandidates, IndexSkipped int64
-	// RepsReused, DocsSkipped and DeltaRepBytes snapshot the delta-round
-	// counters (DeltaRounds runs): representatives returned verbatim from the
-	// cross-round memo, documents whose relocation was decided from the cached
-	// anchor with zero kernel evaluations, and wire bytes saved by shipping
+	// RepsReused and DeltaRepBytes snapshot the delta-round counters
+	// (DeltaRounds runs): representatives returned verbatim from the
+	// cross-round memo, and wire bytes saved by shipping
 	// unchanged-representative digest markers instead of full representatives.
 	// Same run-wide running-total semantics as PrunedRows.
-	RepsReused, DocsSkipped, DeltaRepBytes int64
+	RepsReused, DeltaRepBytes int64
+	// DocsSkipped is always 0: relocation makes one full pass per round and
+	// skips no document.
+	//
+	// Deprecated: nothing sets it; it stays only for source compatibility.
+	DocsSkipped int64
 	// Elapsed is the time since the session (or run, for Peer == -1)
 	// started.
 	Elapsed time.Duration

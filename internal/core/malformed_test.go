@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"xmlclust/internal/p2p"
@@ -11,8 +12,9 @@ import (
 
 // TestMalformedRepsRejected sends malformed representative messages
 // through the in-process transport into a live two-peer session: item ids
-// outside the interning table, cluster ids outside [0,k) and a bogus
-// sender must each fail the phase with ErrUnexpectedMessage, never panic.
+// outside the interning table, cluster ids outside [0,k), cluster weights
+// outside [1,|S|] and a bogus sender must each fail the phase with
+// ErrUnexpectedMessage, never panic.
 func TestMalformedRepsRejected(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	good := toWire(corpus.Items, corpus.Transactions[0])
@@ -29,6 +31,7 @@ func TestMalformedRepsRejected(t *testing.T) {
 		s := newSession(testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.DeltaRounds = true }))
 		start := startMsgFor(2, 2)
 		start.DeltaExchange = true
+		start.Txns = len(corpus.Transactions)
 		if err := tr.Send(0, 0, start); err != nil {
 			t.Fatal(err)
 		}
@@ -44,14 +47,16 @@ func TestMalformedRepsRejected(t *testing.T) {
 		}
 		return s, tr
 	}
-	expectRejected := func(t *testing.T, s *session, tr *p2p.ChanTransport, msg any) {
+	expectRejected := func(t *testing.T, s *session, tr *p2p.ChanTransport, msg any) error {
 		t.Helper()
 		if err := tr.Send(1, 0, msg); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.step(context.Background()); !errors.Is(err, ErrUnexpectedMessage) {
+		err := s.step(context.Background())
+		if !errors.Is(err, ErrUnexpectedMessage) {
 			t.Fatalf("want ErrUnexpectedMessage, got %v", err)
 		}
+		return err
 	}
 
 	globals := map[string]map[int]WireTxn{
@@ -83,6 +88,27 @@ func TestMalformedRepsRejected(t *testing.T) {
 		})
 	}
 
+	// Weights rank the items of the global representative, and a sender
+	// ships only non-empty clusters of the |S|-transaction corpus: a valid
+	// weight lies in [1,|S|]. The error must name the weight, because a
+	// stray marker fails later anyway (no cached representative).
+	txns := len(corpus.Transactions)
+	weights := map[string]LocalRepsMsg{
+		"zero weight":               {From: 1, Flag: FlagContinue, Reps: map[int]WeightedWireRep{1: {Rep: good, Weight: 0}}},
+		"negative weight":           {From: 1, Flag: FlagContinue, Reps: map[int]WeightedWireRep{1: {Rep: good, Weight: -3}}},
+		"weight past corpus":        {From: 1, Flag: FlagContinue, Reps: map[int]WeightedWireRep{1: {Rep: good, Weight: txns + 1}}},
+		"marker zero weight":        {From: 1, Flag: FlagContinue, Unchanged: map[int]UnchangedRep{1: {Weight: 0}}},
+		"marker weight past corpus": {From: 1, Flag: FlagContinue, Unchanged: map[int]UnchangedRep{1: {Weight: txns + 1}}},
+	}
+	for name, msg := range weights {
+		t.Run("LocalRepsMsg/"+name, func(t *testing.T) {
+			s, tr := open(t, PhaseExchangeLocals)
+			if err := expectRejected(t, s, tr, msg); !strings.Contains(err.Error(), "weight") {
+				t.Errorf("rejected for another reason: %v", err)
+			}
+		})
+	}
+
 	// Startup buffers round traffic that overtakes the StartMsg; it is
 	// checked when the round consumes it.
 	t.Run("GlobalRepsMsg/buffered before StartMsg", func(t *testing.T) {
@@ -101,6 +127,19 @@ func TestMalformedRepsRejected(t *testing.T) {
 		}
 		if err := s.step(context.Background()); !errors.Is(err, ErrUnexpectedMessage) {
 			t.Fatalf("want ErrUnexpectedMessage, got %v", err)
+		}
+	})
+
+	// A restored or transferred session keeps the weight bound.
+	t.Run("SessionState/weight bound survives install", func(t *testing.T) {
+		s, _ := open(t, PhaseRelocate)
+		st := s.capture()
+		s.txns = 0
+		if err := s.install(st); err != nil {
+			t.Fatal(err)
+		}
+		if s.txns != txns {
+			t.Fatalf("installed session bounds weights by %d, want %d", s.txns, txns)
 		}
 	})
 

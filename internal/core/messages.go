@@ -8,10 +8,10 @@
 // # Delta rounds
 //
 // With Options.DeltaRounds on (the default at the public surface), each
-// peer threads a cluster.DeltaState through its rounds — memoized
-// representatives and anchored relocation — and the representative
-// exchange ships an unchanged representative as a digest marker
-// (UnchangedRep) instead of the full wire transaction. The mode is part
+// peer threads a cluster.DeltaState through its rounds — memoized local
+// and global representatives — and the representative exchange ships an
+// unchanged representative as a digest marker (UnchangedRep) instead of
+// the full wire transaction. The mode is part
 // of the wire protocol: the coordinator announces it in
 // StartMsg.DeltaExchange, a peer configured differently rejects the
 // session with ErrConfigMismatch, and a marker the receiver never cached

@@ -42,10 +42,10 @@ type PeerConfig struct {
 	// either way.
 	IndexReps bool
 	// DeltaRounds carries a cluster.DeltaState across rounds (representative
-	// memoization + delta relocation) and ships unchanged local
-	// representatives as digest markers instead of full wire transactions
-	// (see Options.DeltaRounds). Output is byte-identical either way; every
-	// peer of a session must agree (StartMsg.DeltaExchange).
+	// memoization) and ships unchanged local representatives as digest
+	// markers instead of full wire transactions (see Options.DeltaRounds).
+	// Output is byte-identical either way; every peer of a session must
+	// agree (StartMsg.DeltaExchange).
 	DeltaRounds bool
 	// RoundTimeout bounds every blocking receive of the session; a peer
 	// that waits longer fails with ErrRoundDeadline instead of hanging on
@@ -229,6 +229,7 @@ type session struct {
 	// Protocol state (Fig. 5 notation in the comments of peer fields).
 	k          int
 	m          int
+	txns       int // |S|, the bound on a peer-supplied cluster weight
 	zs         [][]int
 	zi         []int
 	global     []*txn.Transaction // g_1..g_k
@@ -254,9 +255,9 @@ type session struct {
 	changed     bool
 	bySender    []map[int]WeightedWireRep
 	anyContinue bool
-	// delta carries the cross-round memoization caches (DeltaRounds):
-	// per-cluster representative memos, per-document relocation anchors and
-	// the global-representative merge memo. Reset on every rollback/install.
+	// delta carries the cross-round memoization caches (DeltaRounds): the
+	// per-cluster local and global representative memos. Dropped on every
+	// rollback/install.
 	delta *cluster.DeltaState
 	// sentRepDigest / recvRepCache implement the delta representative
 	// exchange: per (destination, cluster) the digest of the last full
@@ -323,7 +324,6 @@ func (s *session) emit(kind EventKind, round int, objective float64) {
 		IndexCandidates: ctrs.IndexCandidates.Load(),
 		IndexSkipped:    ctrs.IndexSkipped.Load(),
 		RepsReused:      ctrs.RepsReused.Load(),
-		DocsSkipped:     ctrs.DocsSkipped.Load(),
 		DeltaRepBytes:   ctrs.DeltaRepBytes.Load(),
 		Elapsed:         time.Since(s.t0),
 	})
@@ -397,6 +397,7 @@ awaitStart:
 		}
 	}
 	s.k = startMsg.K
+	s.txns = startMsg.Txns
 	s.zs = startMsg.Zs
 	s.zi = startMsg.Zs[id]
 
@@ -465,11 +466,12 @@ func (s *session) broadcastGlobals(ctx context.Context) error {
 	return nil
 }
 
-// relocate is protocol phase 2: the local relocation loop against the fixed
-// globals, followed by the local representative of every non-empty cluster.
-// The relocation passes are cancellable: ctx is checked between passes and
-// inside the parallel fork-join, so a canceled session aborts the compute
-// section without finishing the corpus scan.
+// relocate is protocol phase 2: one relocation pass against the fixed
+// globals (Fig. 5), followed by the local representative of every non-empty
+// cluster. Relocation is a pure function of (transaction, globals), so a
+// second pass would reproduce the first. The pass is cancellable inside the
+// parallel fork-join, so a canceled session aborts the compute section
+// without finishing the corpus scan.
 func (s *session) relocate(ctx context.Context) error {
 	cfg := &s.p.cfg
 	repCfg := cluster.RepConfig{Ctx: cfg.Ctx, Rule: cfg.Rule, Workers: cfg.Workers}
@@ -478,36 +480,19 @@ func (s *session) relocate(ctx context.Context) error {
 	}
 	var relocErr error
 	s.compute(s.round, func() {
-		// The globals are fixed for the whole relocation loop, so one index
-		// build serves every pass of this round. The session keeps the index
-		// across rounds: rebuilds reuse its slabs and maps. With candidate
-		// pruning off it still carries the globals' term postings.
+		// The session keeps the index across rounds: rebuilds reuse its
+		// slabs and maps. With candidate pruning off it still carries the
+		// globals' term postings.
 		if s.repIndex == nil {
 			s.repIndex = sim.NewRepIndex()
 		}
 		s.repIndex.BuildMode(cfg.Ctx, s.global, cfg.IndexReps)
-		ix := s.repIndex
-		for {
-			var assign []int
-			var err error
-			if s.delta != nil {
-				// The delta state spans rounds AND the passes of this loop:
-				// pass 2 over unchanged globals short-circuits to the cached
-				// anchors (every document skipped), reproducing the fixpoint
-				// check at zero kernel cost.
-				assign, err = s.delta.Relocate(ctx, cfg.Ctx, cfg.Local, s.global, cfg.Workers, ix)
-			} else {
-				assign, err = cluster.RelocateCtxIndexed(ctx, cfg.Ctx, cfg.Local, s.global, cfg.Workers, ix)
-			}
-			if err != nil {
-				relocErr = fmt.Errorf("%w: %w", ErrCanceled, err)
-				return
-			}
-			if intsEqual(assign, s.assign) {
-				break
-			}
-			s.assign = assign
+		assign, err := cluster.RelocateCtxIndexed(ctx, cfg.Ctx, cfg.Local, s.global, cfg.Workers, s.repIndex)
+		if err != nil {
+			relocErr = fmt.Errorf("%w: %w", ErrCanceled, err)
+			return
 		}
+		s.assign = assign
 		members := make([][]*txn.Transaction, s.k)
 		for i, a := range s.assign {
 			if a >= 0 {
@@ -654,9 +639,22 @@ func (s *session) checkRep(from, j int, w WireTxn) error {
 	return nil
 }
 
+// checkWeight rejects a peer-supplied cluster weight outside [1, |S|]: a
+// sender ships only non-empty clusters, and a weight < 1 would zero or
+// invert the ranking of ComputeGlobalRepresentative. A session restored
+// from a state that predates SessionState.Txns has no upper bound.
+func (s *session) checkWeight(from, j, w int) error {
+	if w < 1 || (s.txns > 0 && w > s.txns) {
+		return fmt.Errorf("%w: cluster %d weight %d from peer %d outside [1,%d]",
+			ErrUnexpectedMessage, j, w, from, s.txns)
+	}
+	return nil
+}
+
 // checkPayload validates a received representative message before it is
 // accounted, buffered or used: a LocalRepsMsg must name another peer as
-// sender, and every representative must pass checkRep.
+// sender, every representative must pass checkRep, and every weight
+// checkWeight.
 func (s *session) checkPayload(payload any) error {
 	switch msg := payload.(type) {
 	case GlobalRepsMsg:
@@ -673,9 +671,15 @@ func (s *session) checkPayload(payload any) error {
 			if err := s.checkRep(msg.From, j, wr.Rep); err != nil {
 				return err
 			}
+			if err := s.checkWeight(msg.From, j, wr.Weight); err != nil {
+				return err
+			}
 		}
-		for j := range msg.Unchanged {
+		for j, u := range msg.Unchanged {
 			if err := s.checkRep(msg.From, j, WireTxn{}); err != nil {
+				return err
+			}
+			if err := s.checkWeight(msg.From, j, u.Weight); err != nil {
 				return err
 			}
 		}
@@ -1102,18 +1106,6 @@ func (s *session) nextLocal(ctx context.Context, round int) (LocalRepsMsg, error
 			return LocalRepsMsg{}, fmt.Errorf("%w: %T while awaiting local reps", ErrUnexpectedMessage, env.Payload)
 		}
 	}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // fingerprintReps hashes a representative slice (FNV-1a over item ids and

@@ -27,6 +27,9 @@ type SessionState struct {
 	// exactly as announced in the StartMsg.
 	K  int
 	Zs [][]int
+	// Txns is the corpus size |S| announced in the StartMsg (0 in states
+	// captured before the field existed).
+	Txns int
 	// Assign is the local assignment, parallel to PeerConfig.Local.
 	Assign []int
 	// Sizes holds the per-cluster local membership counts |C_i_j|.
@@ -106,6 +109,7 @@ func (s *session) capture() *SessionState {
 		Rounds:     s.rounds,
 		K:          s.k,
 		Zs:         zs,
+		Txns:       s.txns,
 		Assign:     append([]int(nil), s.assign...),
 		Sizes:      append([]int(nil), s.sizes...),
 		Global:     wireReps(s.items(), s.global),
@@ -145,6 +149,7 @@ func (s *session) install(st *SessionState) error {
 		es.SetEpoch(id, s.epoch)
 	}
 	s.k = st.K
+	s.txns = st.Txns
 	s.zs = st.Zs
 	s.zi = st.Zs[id]
 	s.round = st.Round

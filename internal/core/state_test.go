@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,7 +131,7 @@ func TestSessionResumeFromEveryBoundary(t *testing.T) {
 		if res.Rounds != ref.Rounds {
 			t.Fatalf("resume from boundary %d: %d rounds, reference %d", i, res.Rounds, ref.Rounds)
 		}
-		if !intsEqual(res.Assign, ref.Assign) {
+		if !slices.Equal(res.Assign, ref.Assign) {
 			t.Fatalf("resume from boundary %d diverged in assignments", i)
 		}
 		if !repSliceEqual(res.Reps, ref.Reps) {
@@ -176,7 +177,7 @@ func TestSessionRollbackMidRun(t *testing.T) {
 	if !rolled {
 		t.Fatal("rollback hook never fired")
 	}
-	if !intsEqual(res.Assign, ref.Assign) || !repSliceEqual(res.Reps, ref.Reps) {
+	if !slices.Equal(res.Assign, ref.Assign) || !repSliceEqual(res.Reps, ref.Reps) {
 		t.Fatal("rollback changed the converged outcome")
 	}
 }
@@ -208,7 +209,7 @@ func TestSessionRejoinInstallsControlState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !intsEqual(res.Assign, ref.Assign) || !repSliceEqual(res.Reps, ref.Reps) {
+	if !slices.Equal(res.Assign, ref.Assign) || !repSliceEqual(res.Reps, ref.Reps) {
 		t.Fatal("rejoined session diverged from the reference outcome")
 	}
 }

@@ -63,9 +63,7 @@ type Options struct {
 	IndexReps bool
 	// DeltaRounds carries a cross-round delta cache through each peer's
 	// iteration (see core.Options.DeltaRounds): unchanged memberships reuse
-	// memoized representatives and documents whose cached best center provably
-	// still wins skip the assignment scan. Assignments are byte-identical
-	// either way. PK-means ships all k representatives all-to-all every round
+	// memoized representatives. Assignments are byte-identical either way. PK-means ships all k representatives all-to-all every round
 	// by design, so the delta representative exchange does not apply here.
 	DeltaRounds      bool
 	Transport        p2p.Transport
@@ -184,7 +182,6 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 			IndexCandidates: cx.Counters.IndexCandidates.Load(),
 			IndexSkipped:    cx.Counters.IndexSkipped.Load(),
 			RepsReused:      cx.Counters.RepsReused.Load(),
-			DocsSkipped:     cx.Counters.DocsSkipped.Load(),
 			DeltaRepBytes:   cx.Counters.DeltaRepBytes.Load(),
 			Elapsed:         wall,
 		})
@@ -252,7 +249,6 @@ func (p *peer) emit(kind core.EventKind, round int, objective float64) {
 		IndexCandidates: p.cx.Counters.IndexCandidates.Load(),
 		IndexSkipped:    p.cx.Counters.IndexSkipped.Load(),
 		RepsReused:      p.cx.Counters.RepsReused.Load(),
-		DocsSkipped:     p.cx.Counters.DocsSkipped.Load(),
 		DeltaRepBytes:   p.cx.Counters.DeltaRepBytes.Load(),
 		Elapsed:         time.Since(p.t0),
 	})
@@ -340,11 +336,7 @@ func (p *peer) run(ctx context.Context) error {
 			if p.deltaRounds && p.delta == nil {
 				p.delta = cluster.NewDeltaState(p.k)
 			}
-			if p.delta != nil {
-				p.assign, _ = p.delta.Relocate(nil, p.cx, p.local, p.global, p.workers, ix)
-			} else {
-				p.assign, _ = cluster.RelocateCtxIndexed(nil, p.cx, p.local, p.global, p.workers, ix)
-			}
+			p.assign, _ = cluster.RelocateCtxIndexed(nil, p.cx, p.local, p.global, p.workers, ix)
 			members := make([][]*txn.Transaction, p.k)
 			for i, a := range p.assign {
 				if a >= 0 {

@@ -144,13 +144,11 @@ type Stats struct {
 	IndexedReps     int   `json:"indexed_reps"`
 	IndexCandidates int64 `json:"index_candidates"`
 	IndexSkipped    int64 `json:"index_skipped"`
-	// RepsReused / DocsSkipped / DeltaRepBytes total the delta-round counters
-	// over every refresh run: representatives reused verbatim from the
-	// cross-round memo, documents decided from their cached relocation anchor
-	// with zero kernel evaluations, and modeled wire bytes saved by
-	// unchanged-representative markers (zero for single-peer refreshes).
+	// RepsReused / DeltaRepBytes total the delta-round counters over every
+	// refresh run: representatives reused verbatim from the cross-round
+	// memo, and modeled wire bytes saved by unchanged-representative markers
+	// (zero for single-peer refreshes).
 	RepsReused    int64 `json:"reps_reused"`
-	DocsSkipped   int64 `json:"docs_skipped"`
 	DeltaRepBytes int64 `json:"delta_rep_bytes"`
 }
 
@@ -229,7 +227,6 @@ type Service struct {
 	idxCand    int64
 	idxSkip    int64
 	repsReused int64
-	docsSkip   int64
 	deltaBytes int64
 }
 
@@ -458,7 +455,7 @@ func (s *Service) Stats() Stats {
 		PrunedRows: s.pruned, ScratchReuses: s.reuses,
 		IndexEntries: s.snap.idx.Entries(), IndexedReps: s.snap.idx.Reps(),
 		IndexCandidates: s.idxCand, IndexSkipped: s.idxSkip,
-		RepsReused: s.repsReused, DocsSkipped: s.docsSkip, DeltaRepBytes: s.deltaBytes,
+		RepsReused: s.repsReused, DeltaRepBytes: s.deltaBytes,
 		ClusterSizes: make([]int, s.cfg.K),
 	}
 	for id, rec := range s.docs {
@@ -625,7 +622,6 @@ func (s *Service) refreshLocked(ctx context.Context) (int, error) {
 		s.idxCand += res.IndexCandidates
 		s.idxSkip += res.IndexSkipped
 		s.repsReused += res.RepsReused
-		s.docsSkip += res.DocsSkipped
 		s.deltaBytes += res.DeltaRepBytes
 	}
 

@@ -66,7 +66,7 @@ import (
 // domination argument, the divisor is the same integer u the kernel divides
 // by, and IEEE division is monotone in an integer numerator at fixed
 // divisor — so UB_j ≥ simγJ(tr, rep_j) holds exactly, never approximately.
-// The relocation loop (cluster.RelocateOneIndexed) walks candidates in
+// The relocation loop (cluster.RelocateOne) walks candidates in
 // (UB desc, j asc) order and stops when the bound proves no unseen candidate
 // can beat — or tie at a lower index than — the running best.
 //

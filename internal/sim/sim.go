@@ -98,11 +98,6 @@ type Counters struct {
 	// was unchanged since the representative was last refined — each reuse
 	// skips the full rank + generateTreeTuple objective loop.
 	RepsReused atomic.Int64
-	// DocsSkipped counts documents whose relocation was decided entirely
-	// from the previous round's cached (cluster, score) without a single
-	// kernel evaluation: every representative that could beat the cached
-	// winner was unchanged since that score was recorded.
-	DocsSkipped atomic.Int64
 	// DeltaRepBytes counts exchange bytes saved by the delta representative
 	// exchange: for every local representative shipped as an "unchanged"
 	// digest marker instead of a re-flattened wire transaction, the full

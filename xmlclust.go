@@ -280,12 +280,11 @@ func (m RepIndexMode) enabled() bool { return m != RepIndexOff }
 
 // DeltaRoundsMode selects whether runs carry the convergence-aware delta
 // caches across rounds: unchanged cluster memberships reuse their memoized
-// representatives, documents whose cached best cluster provably still wins
-// skip the relocation scan, and (CXK-means) unchanged local representatives
-// travel between peers as digest markers instead of full wire transactions.
-// The delta engine never changes a single assignment or representative — the
+// representatives, and (CXK-means) unchanged local representatives travel
+// between peers as digest markers instead of full wire transactions. The
+// delta engine never changes a single assignment or representative — the
 // only observable differences are wall time, wire bytes and the
-// RepsReused/DocsSkipped/DeltaRepBytes counters.
+// RepsReused/DeltaRepBytes counters.
 type DeltaRoundsMode int
 
 const (
@@ -394,16 +393,19 @@ type Result struct {
 	// PrunedRows applies.
 	IndexCandidates int64
 	IndexSkipped    int64
-	// RepsReused, DocsSkipped and DeltaRepBytes are the delta-round deltas of
-	// this job: representatives returned verbatim from the cross-round memo
-	// (local and global), documents whose relocation was decided from the
-	// cached anchor with zero kernel evaluations, and modeled wire bytes
-	// saved by shipping unchanged-representative digest markers. All zero
-	// when DeltaRounds is DeltaRoundsOff. The same concurrency attribution
-	// caveat as PrunedRows applies.
+	// RepsReused and DeltaRepBytes are the delta-round deltas of this job:
+	// representatives returned verbatim from the cross-round memo (local and
+	// global), and modeled wire bytes saved by shipping
+	// unchanged-representative digest markers. Both zero when DeltaRounds is
+	// DeltaRoundsOff. The same concurrency attribution caveat as PrunedRows
+	// applies.
 	RepsReused    int64
-	DocsSkipped   int64
 	DeltaRepBytes int64
+	// DocsSkipped is always 0: relocation makes one full pass per round and
+	// skips no document.
+	//
+	// Deprecated: nothing sets it; it stays only for source compatibility.
+	DocsSkipped int64
 }
 
 // Cluster runs one clustering job on a throwaway Engine and blocks until
